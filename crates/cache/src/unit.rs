@@ -726,7 +726,7 @@ pub fn analyze_image_units_incremental(
     stats.unit_misses += dirty.len() as u64;
 
     let engine = TaintEngine::with_config(&program, config.taint.clone());
-    let renderer = SliceRenderer::with_mode(&program, config.taint.cold_path);
+    let renderer = SliceRenderer::for_engine(&engine);
     // The classification cache is keyed by classifier fingerprint (a
     // text's label depends on the model), so images analyzed under the
     // same model share one corpus-wide cache while a model swap can

@@ -517,9 +517,11 @@ fn field_id_unit(
     let mut lib_stats = firmres_dataflow::LibStats::default();
     ucx.count(Counter::TaintQueries, 1);
     ucx.taint_query(unit.function, unit.callsite, unit.payload_arg);
-    let (tree, stats) = engine.trace_with_stats(unit.function, unit.callsite, unit.payload_arg);
-    lib_stats.merge(&stats);
-    let unresolved = tree
+    // The memoized trace is read in place: the tree is never copied.
+    let trace = engine.trace_shared(unit.function, unit.callsite, unit.payload_arg);
+    lib_stats.merge(&trace.lib_stats);
+    let unresolved = trace
+        .tree
         .sources()
         .filter(|n| matches!(n.source(), Some(FieldSource::Unresolved { .. })))
         .count();
@@ -534,16 +536,16 @@ fn field_id_unit(
             ),
         ));
     }
-    let mft = Mft::from_taint(&tree);
+    let mft = Mft::from_taint(&trace.tree);
     // Endpoint argument (MQTT topic / HTTP path), when distinct.
     let mut endpoint = None;
     if let Some(ep_arg) = delivery_endpoint_arg(&unit.callee) {
         if ep_arg != unit.payload_arg {
             ucx.count(Counter::TaintQueries, 1);
             ucx.taint_query(unit.function, unit.callsite, ep_arg);
-            let (ep_tree, stats) = engine.trace_with_stats(unit.function, unit.callsite, ep_arg);
-            lib_stats.merge(&stats);
-            endpoint = ep_tree.sources().find_map(|n| match n.source() {
+            let ep = engine.trace_shared(unit.function, unit.callsite, ep_arg);
+            lib_stats.merge(&ep.lib_stats);
+            endpoint = ep.tree.sources().find_map(|n| match n.source() {
                 Some(FieldSource::StringConstant { value, .. }) => Some(value.clone()),
                 _ => None,
             });
@@ -554,9 +556,9 @@ fn field_id_unit(
     if matches!(unit.callee.as_str(), "http_post" | "http_get") {
         ucx.count(Counter::TaintQueries, 1);
         ucx.taint_query(unit.function, unit.callsite, 0);
-        let (host_tree, stats) = engine.trace_with_stats(unit.function, unit.callsite, 0);
-        lib_stats.merge(&stats);
-        host_lan = host_tree.sources().any(|n| {
+        let host = engine.trace_shared(unit.function, unit.callsite, 0);
+        lib_stats.merge(&host.lib_stats);
+        host_lan = host.tree.sources().any(|n| {
             matches!(n.source(), Some(FieldSource::StringConstant { value, .. })
                 if firmres_mft::is_lan_address(value))
         });

@@ -343,6 +343,43 @@ impl DefUse {
         }
     }
 
+    /// The single definition of `varnode` reaching the point just before
+    /// `at`: `Some` exactly when [`DefUse::reaching_defs`] would return
+    /// one element, found without allocating the list.
+    pub fn unique_reaching_def(&self, at: OpRef, varnode: &Varnode) -> Option<OpRef> {
+        let b = at.block.0 as usize;
+        let EntryStates::Bitset { words, stride } = &self.entry else {
+            let defs = self.reaching_defs(at, varnode);
+            return (defs.len() == 1).then(|| defs[0]);
+        };
+        if b >= self.block_lens.len() {
+            return None;
+        }
+        let (start, end) = self.block_def_ranges[b];
+        for i in (start..end).rev() {
+            let (r, v) = &self.defs[i as usize];
+            if r.index < at.index && v == varnode {
+                return Some(*r);
+            }
+        }
+        let mut found = None;
+        for (w, &word) in words[b * stride..(b + 1) * stride].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let d = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (r, v) = &self.defs[d];
+                if v == varnode {
+                    if found.is_some() {
+                        return None;
+                    }
+                    found = Some(*r);
+                }
+            }
+        }
+        found
+    }
+
     /// Total number of definition sites.
     pub fn def_count(&self) -> usize {
         self.defs.len()
@@ -495,7 +532,8 @@ mod tests {
     }
 
     /// Every query point of every varnode answers identically from the
-    /// bitset and reference solvers.
+    /// bitset and reference solvers, and the allocation-free single-def
+    /// query agrees with the list query.
     fn assert_same_analysis(f: &Function) {
         let fast = DefUse::compute(f);
         let slow = DefUse::compute_reference(f);
@@ -516,11 +554,15 @@ mod tests {
                     index: oi,
                 };
                 for v in &vars {
+                    let defs = slow.reaching_defs(at, v);
                     assert_eq!(
                         fast.reaching_defs(at, v),
-                        slow.reaching_defs(at, v),
+                        defs,
                         "divergence at {at:?} for {v:?}"
                     );
+                    let unique = (defs.len() == 1).then(|| defs[0]);
+                    assert_eq!(fast.unique_reaching_def(at, v), unique, "at {at:?}");
+                    assert_eq!(slow.unique_reaching_def(at, v), unique, "at {at:?}");
                 }
             }
         }

@@ -22,7 +22,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node in a [`TaintTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -159,7 +159,7 @@ pub enum TaintNodeKind {
 }
 
 /// One node of a [`TaintTree`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaintNode {
     /// This node's id.
     pub id: TaintNodeId,
@@ -192,7 +192,7 @@ impl TaintNode {
 
 /// The backward-taint result: a tree rooted at the delivery argument with
 /// field sources at the leaves.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TaintTree {
     nodes: Vec<TaintNode>,
 }
@@ -337,6 +337,22 @@ impl TraceDeps {
     }
 }
 
+/// One memoized trace result: the tree, the cross-function inputs the
+/// walk read, and its known-library counters.
+///
+/// [`TaintEngine::trace_shared`] hands these out behind an [`Arc`], so a
+/// caller reads the memoized tree in place instead of receiving a deep
+/// copy of it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Trace {
+    /// The taint tree rooted at the queried delivery argument.
+    pub tree: TaintTree,
+    /// Functions the walk visited and caller sets it enumerated.
+    pub deps: TraceDeps,
+    /// Known-library replay counters of the original walk.
+    pub lib_stats: LibStats,
+}
+
 /// Tuning knobs for the taint engine.
 #[derive(Debug, Clone)]
 pub struct TaintConfig {
@@ -387,8 +403,8 @@ impl Default for TaintConfig {
 /// The backward inter-procedural taint engine over one [`Program`].
 ///
 /// The engine is `Sync`: every query method takes `&self`, and the
-/// per-function def-use/reachability caches and the trace memo live
-/// behind locks, so one engine can be shared across worker threads
+/// per-function def-use/reachability/write-site caches and the trace
+/// memo live behind locks, so one engine can be shared across worker threads
 /// (the pipeline's per-callsite message units do exactly that). All
 /// cached values are deterministic functions of the immutable program,
 /// so concurrent fills can only ever race to insert the same value.
@@ -397,6 +413,8 @@ pub struct TaintEngine<'p> {
     callgraph: CallGraph,
     defuse: RwLock<BTreeMap<Address, Arc<DefUse>>>,
     reach: RwLock<BTreeMap<Address, Arc<Reach>>>,
+    /// Per-function buffer-write candidates of the optimized scan.
+    write_sites: RwLock<BTreeMap<Address, Arc<[WriteSite]>>>,
     /// Interned names of every known call target (imports and defined
     /// functions), with the callee's library summary resolved once. The
     /// hot region scan compares [`Sym`]/address keys and only
@@ -405,9 +423,10 @@ pub struct TaintEngine<'p> {
     names: Interner,
     config: TaintConfig,
     /// Memoized [`TaintEngine::trace`] results per
-    /// `(function entry, callsite, argument)` query, each paired with the
-    /// [`TraceDeps`] the walk accumulated. Traces are deterministic over
-    /// an immutable program, so replaying one is always safe.
+    /// `(function entry, callsite, argument)` query, each a shared
+    /// [`Trace`] holding the tree and the [`TraceDeps`] the walk
+    /// accumulated. Traces are deterministic over an immutable program,
+    /// so replaying one is always safe.
     trace_cache: Mutex<TraceCache>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -419,8 +438,10 @@ pub struct TaintEngine<'p> {
 
 /// Memoized trace results keyed by `(function entry, callsite, argument)`.
 /// The per-trace [`LibStats`] ride in the memo so replayed queries report
-/// the numbers of the original walk, independent of scheduling.
-type TraceCache = BTreeMap<(Address, Address, usize), (TaintTree, TraceDeps, LibStats)>;
+/// the numbers of the original walk, independent of scheduling. Entries
+/// are shared, never copied: the memo and every caller of
+/// [`TaintEngine::trace_shared`] hold the same allocation.
+type TraceCache = BTreeMap<(Address, Address, usize), Arc<Trace>>;
 
 /// Extended region used inside the engine: [`Region`] plus buffers that
 /// arrive through a pointer parameter.
@@ -457,6 +478,35 @@ enum Reach {
     /// One dense bitset row per block: bit `t` of row `f` set iff block
     /// `f` can reach block `t`.
     Bits { words: Vec<u64>, stride: usize },
+}
+
+impl Reach {
+    /// Whether block `from` can reach block `to` (a block reaches itself).
+    fn reaches(&self, from: u32, to: u32) -> bool {
+        if from == to {
+            return true;
+        }
+        match self {
+            Reach::Reference(sets) => sets[from as usize].contains(&to),
+            Reach::Bits { words, stride } => {
+                words[from as usize * stride + (to as usize >> 6)] >> (to & 63) & 1 == 1
+            }
+        }
+    }
+}
+
+/// One op of a function that can write a buffer: a `COPY` into a stack
+/// slot, a `STORE`, or a direct call to an internal function or a
+/// summarized import. A function is typically scanned several times per
+/// image (once per buffer traced through it); its sites are found once
+/// and shared by every scan, and each pointer operand's region — a pure
+/// function of the program — is resolved at most once, by the first
+/// scan that compares it.
+struct WriteSite {
+    at: OpRef,
+    /// Regions of the pointer operands a scan compares, indexed like the
+    /// scan asks: `[address]` for a store, one per argument for a call.
+    regions: Box<[OnceLock<Region>]>,
 }
 
 /// The already-explored set of `(function, op, varnode)` taint facts, in
@@ -531,6 +581,15 @@ struct RecState {
 }
 
 impl Cx {
+    /// The finished walk as a memo entry.
+    fn into_trace(self) -> Trace {
+        Trace {
+            tree: self.tree,
+            deps: self.deps,
+            lib_stats: self.lib_stats,
+        }
+    }
+
     /// Append a step to an active, unpoisoned recording.
     fn rec_step(&mut self, step: impl FnOnce() -> LibStep) {
         if let Some(rec) = self.rec.as_mut() {
@@ -699,6 +758,7 @@ impl<'p> TaintEngine<'p> {
             callgraph: program.call_graph(),
             defuse: RwLock::new(BTreeMap::new()),
             reach: RwLock::new(BTreeMap::new()),
+            write_sites: RwLock::new(BTreeMap::new()),
             callees,
             names,
             config,
@@ -720,15 +780,32 @@ impl<'p> TaintEngine<'p> {
         self.lib_funcs.len() as u64
     }
 
-    fn du(&self, func: Address) -> Arc<DefUse> {
+    /// The program the engine traces.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
+    /// The reaching-definitions analysis of the function entered at
+    /// `func`, from the engine's per-function cache (computed on first
+    /// request, in the layout [`TaintConfig::cold_path`] selects). `None`
+    /// when the program has no such function.
+    ///
+    /// Slice rendering reads the same analyses through
+    /// `SliceRenderer::for_engine`, so each function of an image is
+    /// solved once whichever stage asks first.
+    pub fn def_use(&self, func: Address) -> Option<Arc<DefUse>> {
         if let Some(du) = self.defuse.read().get(&func) {
-            return Arc::clone(du);
+            return Some(Arc::clone(du));
         }
         // Compute outside the lock (idempotent: racing fills produce the
         // same value and the first insert wins for everyone).
-        let f = self.program.function(func).expect("function exists");
+        let f = self.program.function(func)?;
         let du = Arc::new(DefUse::compute_with(f, self.config.cold_path));
-        Arc::clone(self.defuse.write().entry(func).or_insert(du))
+        Some(Arc::clone(self.defuse.write().entry(func).or_insert(du)))
+    }
+
+    fn du(&self, func: Address) -> Arc<DefUse> {
+        self.def_use(func).expect("function exists")
     }
 
     /// The human-readable name of a call target, from the interned table.
@@ -740,15 +817,7 @@ impl<'p> TaintEngine<'p> {
 
     /// block-level "can a reach b" closure, cached per function.
     fn reachable(&self, func: Address, from: u32, to: u32) -> bool {
-        if from == to {
-            return true;
-        }
-        match &*self.reach_sets(func) {
-            Reach::Reference(sets) => sets[from as usize].contains(&to),
-            Reach::Bits { words, stride } => {
-                words[from as usize * stride + (to as usize >> 6)] >> (to & 63) & 1 == 1
-            }
-        }
+        self.reach_sets(func).reaches(from, to)
     }
 
     fn reach_sets(&self, func: Address) -> Arc<Reach> {
@@ -797,6 +866,57 @@ impl<'p> TaintEngine<'p> {
         Arc::clone(self.reach.write().entry(func).or_insert(Arc::new(reach)))
     }
 
+    /// The [`WriteSite`]s of `f` (entered at `func`), in block order,
+    /// found on first request.
+    fn write_sites(&self, func: Address, f: &Function) -> Arc<[WriteSite]> {
+        if let Some(sites) = self.write_sites.read().get(&func) {
+            return Arc::clone(sites);
+        }
+        let mut sites = Vec::new();
+        for (bi, block) in f.blocks().iter().enumerate() {
+            for (index, op) in block.ops.iter().enumerate() {
+                let operands = match op.opcode {
+                    Opcode::Copy
+                        if op
+                            .output
+                            .as_ref()
+                            .is_some_and(|o| o.stack_offset().is_some()) =>
+                    {
+                        0
+                    }
+                    Opcode::Store => 1,
+                    // An unknown import has no summary: it never writes.
+                    Opcode::Call => match op.call_target() {
+                        Some(target)
+                            if !is_import_address(target)
+                                || self
+                                    .callees
+                                    .get(&target)
+                                    .is_some_and(|info| info.summary.is_some()) =>
+                        {
+                            op.call_args().len()
+                        }
+                        _ => continue,
+                    },
+                    _ => continue,
+                };
+                sites.push(WriteSite {
+                    at: OpRef {
+                        block: BlockId(bi as u32),
+                        index,
+                    },
+                    regions: (0..operands).map(|_| OnceLock::new()).collect(),
+                });
+            }
+        }
+        Arc::clone(
+            self.write_sites
+                .write()
+                .entry(func)
+                .or_insert_with(|| sites.into()),
+        )
+    }
+
     /// Trace the message held in argument `arg` of the call at
     /// `callsite_addr` inside the function entered at `func`.
     ///
@@ -804,25 +924,26 @@ impl<'p> TaintEngine<'p> {
     /// callsite cannot be found.
     ///
     /// Results are memoized per `(func, callsite_addr, arg)`: repeating a
-    /// query returns a clone of the first result without re-walking the
-    /// data flows (see [`TaintEngine::cache_stats`]).
+    /// query does not re-walk the data flows (see
+    /// [`TaintEngine::cache_stats`]). This by-value form returns a copy
+    /// of the memoized tree; [`TaintEngine::trace_shared`] reads it in
+    /// place.
     pub fn trace(&self, func: Address, callsite_addr: Address, arg: usize) -> TaintTree {
-        self.trace_full(func, callsite_addr, arg).0
+        self.trace_shared(func, callsite_addr, arg).tree.clone()
     }
 
     /// [`TaintEngine::trace`] plus the [`TraceDeps`] the walk accumulated.
     ///
-    /// Shares the same memo (and hit/miss accounting) as `trace`: a
-    /// repeated query returns a clone of the first result's tree and
-    /// dependency set.
+    /// Shares the same memo (and hit/miss accounting) as `trace`, and
+    /// returns copies of the memoized tree and dependency set.
     pub fn trace_with_deps(
         &self,
         func: Address,
         callsite_addr: Address,
         arg: usize,
     ) -> (TaintTree, TraceDeps) {
-        let (tree, deps, _) = self.trace_full(func, callsite_addr, arg);
-        (tree, deps)
+        let trace = self.trace_shared(func, callsite_addr, arg);
+        (trace.tree.clone(), trace.deps.clone())
     }
 
     /// [`TaintEngine::trace`] plus the per-trace known-library counters.
@@ -834,31 +955,25 @@ impl<'p> TaintEngine<'p> {
         callsite_addr: Address,
         arg: usize,
     ) -> (TaintTree, LibStats) {
-        let (tree, _, stats) = self.trace_full(func, callsite_addr, arg);
-        (tree, stats)
+        let trace = self.trace_shared(func, callsite_addr, arg);
+        (trace.tree.clone(), trace.lib_stats)
     }
 
-    fn trace_full(
-        &self,
-        func: Address,
-        callsite_addr: Address,
-        arg: usize,
-    ) -> (TaintTree, TraceDeps, LibStats) {
+    /// The memoized [`Trace`] of a query, walking the data flows on the
+    /// first request only. The returned [`Arc`] is the memo entry itself:
+    /// neither a hit nor a miss copies the tree.
+    pub fn trace_shared(&self, func: Address, callsite_addr: Address, arg: usize) -> Arc<Trace> {
         let key = (func, callsite_addr, arg);
         if let Some(cached) = self.trace_cache.lock().get(&key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return cached.clone();
+            return Arc::clone(cached);
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
         // Traced outside the lock: concurrent first queries for the same
         // key each compute the (identical, deterministic) result and the
         // first insert wins.
-        let result = self.trace_uncached(func, callsite_addr, arg);
-        self.trace_cache
-            .lock()
-            .entry(key)
-            .or_insert_with(|| result.clone());
-        result
+        let result = Arc::new(self.trace_uncached(func, callsite_addr, arg));
+        Arc::clone(self.trace_cache.lock().entry(key).or_insert(result))
     }
 
     /// The memoized [`TraceDeps`] of a query already run through
@@ -873,7 +988,7 @@ impl<'p> TaintEngine<'p> {
         self.trace_cache
             .lock()
             .get(&(func, callsite_addr, arg))
-            .map(|(_, deps, _)| deps.clone())
+            .map(|trace| trace.deps.clone())
     }
 
     /// `(hits, misses)` of the trace memo cache so far.
@@ -889,12 +1004,7 @@ impl<'p> TaintEngine<'p> {
         )
     }
 
-    fn trace_uncached(
-        &self,
-        func: Address,
-        callsite_addr: Address,
-        arg: usize,
-    ) -> (TaintTree, TraceDeps, LibStats) {
+    fn trace_uncached(&self, func: Address, callsite_addr: Address, arg: usize) -> Trace {
         let mut cx = Cx {
             tree: TaintTree::default(),
             visited_vals: VisitedVals::new(self.config.cold_path),
@@ -926,7 +1036,7 @@ impl<'p> TaintEngine<'p> {
                     reason: "function not found",
                 }),
             );
-            return (cx.tree, cx.deps, cx.lib_stats);
+            return cx.into_trace();
         };
         let Some(call) = f.op_at(callsite_addr).cloned() else {
             let root = cx.tree.add(
@@ -947,7 +1057,7 @@ impl<'p> TaintEngine<'p> {
                     reason: "callsite not found",
                 }),
             );
-            return (cx.tree, cx.deps, cx.lib_stats);
+            return cx.into_trace();
         };
         let delivery = call
             .call_target()
@@ -971,11 +1081,11 @@ impl<'p> TaintEngine<'p> {
                     reason: "argument missing",
                 }),
             );
-            return (cx.tree, cx.deps, cx.lib_stats);
+            return cx.into_trace();
         };
         let at = self.du(func).position_of(callsite_addr).expect("op exists");
         self.taint_value(&mut cx, func, at, &v, root, 0);
-        (cx.tree, cx.deps, cx.lib_stats)
+        cx.into_trace()
     }
 
     fn budget_ok(&self, cx: &Cx, depth: usize) -> bool {
@@ -1736,13 +1846,15 @@ impl<'p> TaintEngine<'p> {
         hits
     }
 
-    /// The optimized write scan: ops are enumerated directly by
-    /// `(block, index)` (no position search, no up-front clone of the
-    /// whole function body), call targets resolve through the interned
+    /// The optimized write scan: only the function's [`WriteSite`]s are
+    /// visited (no position search, no up-front clone of the whole
+    /// function body), call targets resolve through the interned
     /// [`CalleeInfo`] table (address → pre-resolved summary, no string
-    /// hashing or cloning), and names are materialized only for actual
-    /// hits. Hit discovery order and contents match the reference scan
-    /// exactly.
+    /// hashing or cloning), operand regions are resolved once per
+    /// function rather than once per scan, reachability and the scanned
+    /// local's extent are looked up once per scan, and names are
+    /// materialized only for actual hits. Hit discovery order and
+    /// contents match the reference scan exactly.
     fn region_write_hits_optimized(
         &self,
         func: Address,
@@ -1751,131 +1863,145 @@ impl<'p> TaintEngine<'p> {
         f: &Function,
     ) -> Vec<WriteHit> {
         let mut hits: Vec<WriteHit> = Vec::new();
-        for (bi, block) in f.blocks().iter().enumerate() {
-            for (index, op) in block.ops.iter().enumerate() {
-                let at = OpRef {
-                    block: BlockId(bi as u32),
-                    index,
+        let reach = before.map(|_| self.reach_sets(func));
+        let du = self.du(func);
+        // The stack offsets inside the scanned local, when it is one:
+        // `offset_in_local` with its bound computed once per scan.
+        let local = match region {
+            XRegion::Plain(Region::Stack(base)) => *base..self.local_end(f, *base),
+            _ => 0..0,
+        };
+        let sites = self.write_sites(func, f);
+        for site in sites.iter() {
+            let at = site.at;
+            let op = op_at(f, at);
+            if let (Some(limit), Some(reach)) = (before, &reach) {
+                let ok = if at.block == limit.block {
+                    at.index < limit.index
+                } else {
+                    reach.reaches(at.block.0, limit.block.0)
                 };
-                if let Some(limit) = before {
-                    let ok = if at.block == limit.block {
-                        at.index < limit.index
-                    } else {
-                        self.reachable(func, at.block.0, limit.block.0)
-                    };
-                    if !ok {
-                        continue;
+                if !ok {
+                    continue;
+                }
+            }
+            // Does operand `k` of this op, holding `v`, point into
+            // `region`? The plain case is `xregion_matches` over the
+            // site's memoized region.
+            let points_into = |k: usize, v: &Varnode| match region {
+                XRegion::Plain(target) => {
+                    match site.regions[k]
+                        .get_or_init(|| resolve_region(self.program, f, &du, at, v))
+                    {
+                        Region::Stack(off) if matches!(target, Region::Stack(_)) => {
+                            local.contains(off)
+                        }
+                        r => r == target,
                     }
                 }
-                match op.opcode {
-                    Opcode::Copy => {
-                        // Direct store into a stack slot inside the region.
-                        if let (Some(out), XRegion::Plain(Region::Stack(base))) =
-                            (&op.output, region)
-                        {
-                            if let Some(off) = out.stack_offset() {
-                                if self.offset_in_local(f, *base, off) {
-                                    hits.push(WriteHit {
-                                        at,
-                                        op: op.clone(),
-                                        values: vec![op.inputs[0].clone()],
-                                        via: "store".into(),
-                                        descend: None,
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    Opcode::Store => {
-                        let addr_v = &op.inputs[0];
-                        if self.xregion_matches(func, at, addr_v, region, f) {
+                XRegion::PtrParam(_) => self.xregion_matches(func, at, v, region, f),
+            };
+            match op.opcode {
+                Opcode::Copy => {
+                    // Direct store into a stack slot inside the region.
+                    if let (Some(out), XRegion::Plain(Region::Stack(_))) = (&op.output, region) {
+                        if out.stack_offset().is_some_and(|off| local.contains(&off)) {
                             hits.push(WriteHit {
                                 at,
                                 op: op.clone(),
-                                values: vec![op.inputs[1].clone()],
+                                values: vec![op.inputs[0].clone()],
                                 via: "store".into(),
                                 descend: None,
                             });
                         }
                     }
-                    Opcode::Call => {
-                        let Some(target) = op.call_target() else {
+                }
+                Opcode::Store if points_into(0, &op.inputs[0]) => {
+                    hits.push(WriteHit {
+                        at,
+                        op: op.clone(),
+                        values: vec![op.inputs[1].clone()],
+                        via: "store".into(),
+                        descend: None,
+                    });
+                }
+                Opcode::Call => {
+                    let Some(target) = op.call_target() else {
+                        continue;
+                    };
+                    let info = self.callees.get(&target);
+                    let args = op.call_args();
+                    if is_import_address(target) {
+                        // An unknown import has no summary, so the
+                        // reference scan records nothing for it either.
+                        let Some(summary) = info.and_then(|i| i.summary.as_ref()) else {
                             continue;
                         };
-                        let info = self.callees.get(&target);
-                        if is_import_address(target) {
-                            // An unknown import has no summary, so the
-                            // reference scan records nothing for it either.
-                            let Some(summary) = info.and_then(|i| i.summary.as_ref()) else {
-                                continue;
-                            };
-                            for eff in &summary.effects {
-                                match eff {
-                                    SummaryEffect::ArgFrom { dst, srcs } => {
-                                        let Some(dst_v) = op.call_args().get(*dst) else {
-                                            continue;
-                                        };
-                                        if self.xregion_matches(func, at, dst_v, region, f) {
-                                            let values: Vec<Varnode> = srcs
-                                                .iter()
-                                                .filter_map(|&s| op.call_args().get(s).cloned())
-                                                // strcat's dst also appears as a src;
-                                                // skip self-reference to avoid a
-                                                // degenerate cycle (the earlier writes
-                                                // are found by this same scan).
-                                                .filter(|a| {
-                                                    !self.xregion_matches(func, at, a, region, f)
-                                                })
-                                                .collect();
-                                            hits.push(WriteHit {
-                                                at,
-                                                op: op.clone(),
-                                                values,
-                                                via: self.callee_label(target).to_string(),
-                                                descend: None,
-                                            });
-                                        }
+                        for eff in &summary.effects {
+                            match eff {
+                                SummaryEffect::ArgFrom { dst, srcs } => {
+                                    let Some(dst_v) = args.get(*dst) else {
+                                        continue;
+                                    };
+                                    if points_into(*dst, dst_v) {
+                                        let values: Vec<Varnode> = srcs
+                                            .iter()
+                                            .filter_map(|&s| Some((s, args.get(s)?)))
+                                            // strcat's dst also appears as a src;
+                                            // skip self-reference to avoid a
+                                            // degenerate cycle (the earlier writes
+                                            // are found by this same scan).
+                                            .filter(|&(s, a)| !points_into(s, a))
+                                            .map(|(_, a)| a.clone())
+                                            .collect();
+                                        hits.push(WriteHit {
+                                            at,
+                                            op: op.clone(),
+                                            values,
+                                            via: self.callee_label(target).to_string(),
+                                            descend: None,
+                                        });
                                     }
-                                    SummaryEffect::ArgSource { dst, kind, key } => {
-                                        let Some(dst_v) = op.call_args().get(*dst) else {
-                                            continue;
-                                        };
-                                        if self.xregion_matches(func, at, dst_v, region, f) {
-                                            hits.push(WriteHit {
-                                                at,
-                                                op: op.clone(),
-                                                values: Vec::new(),
-                                                via: format!(
-                                                    "{}:{}:{}",
-                                                    self.callee_label(target),
-                                                    kind.label(),
-                                                    key
-                                                ),
-                                                descend: None,
-                                            });
-                                        }
-                                    }
-                                    _ => {}
                                 }
+                                SummaryEffect::ArgSource { dst, kind, key } => {
+                                    let Some(dst_v) = args.get(*dst) else {
+                                        continue;
+                                    };
+                                    if points_into(*dst, dst_v) {
+                                        hits.push(WriteHit {
+                                            at,
+                                            op: op.clone(),
+                                            values: Vec::new(),
+                                            via: format!(
+                                                "{}:{}:{}",
+                                                self.callee_label(target),
+                                                kind.label(),
+                                                key
+                                            ),
+                                            descend: None,
+                                        });
+                                    }
+                                }
+                                _ => {}
                             }
-                        } else {
-                            // Internal call taking the buffer: writes may occur
-                            // inside the callee through the pointer parameter.
-                            for (j, arg) in op.call_args().iter().enumerate() {
-                                if self.xregion_matches(func, at, arg, region, f) {
-                                    hits.push(WriteHit {
-                                        at,
-                                        op: op.clone(),
-                                        values: Vec::new(),
-                                        via: self.callee_label(target).to_string(),
-                                        descend: Some((target, j)),
-                                    });
-                                }
+                        }
+                    } else {
+                        // Internal call taking the buffer: writes may occur
+                        // inside the callee through the pointer parameter.
+                        for (j, arg) in args.iter().enumerate() {
+                            if points_into(j, arg) {
+                                hits.push(WriteHit {
+                                    at,
+                                    op: op.clone(),
+                                    values: Vec::new(),
+                                    via: self.callee_label(target).to_string(),
+                                    descend: Some((target, j)),
+                                });
                             }
                         }
                     }
-                    _ => {}
                 }
+                _ => {}
             }
         }
         hits
@@ -1980,22 +2106,27 @@ impl<'p> TaintEngine<'p> {
         let XRegion::Plain(target) = region else {
             return false;
         };
-        let r = self.region_of(func, at, v);
-        match (&r, target) {
+        self.region_within(f, &self.region_of(func, at, v), target)
+    }
+
+    /// Whether resolved region `r` lies in `target`: inside the named
+    /// local for stack regions, identical otherwise.
+    fn region_within(&self, f: &Function, r: &Region, target: &Region) -> bool {
+        match (r, target) {
             (Region::Stack(a), Region::Stack(base)) => self.offset_in_local(f, *base, *a),
-            _ => r == *target,
+            _ => r == target,
         }
     }
 
     /// Whether stack offset `off` falls inside the named local starting at
     /// `base` (extent bounded by the next named local, or 256 bytes).
     fn offset_in_local(&self, f: &Function, base: i64, off: i64) -> bool {
-        if off == base {
-            return true;
-        }
-        if off < base {
-            return false;
-        }
+        off == base || (off > base && off < self.local_end(f, base))
+    }
+
+    /// The end (exclusive) of the named local starting at stack offset
+    /// `base`: the next named local's offset, or `base + 256`.
+    fn local_end(&self, f: &Function, base: i64) -> i64 {
         let mut next = i64::MAX;
         for (v, _) in f.symbols().iter() {
             if let Some(o) = v.stack_offset() {
@@ -2005,7 +2136,7 @@ impl<'p> TaintEngine<'p> {
             }
         }
         let extent = if next == i64::MAX { 256 } else { next - base };
-        off < base + extent
+        base + extent
     }
 
     /// Resolve a string constant argument (e.g. an NVRAM key).
@@ -2752,10 +2883,34 @@ s: .asciz "x"
         let second = engine.trace(f.entry(), callsite, 1);
         assert_eq!(engine.cache_stats(), (1, 1));
         assert_eq!(source_strings(&first), source_strings(&second));
-        assert_eq!(first.len(), second.len());
+        assert_eq!(first, second);
+        // The shared form hands out the memo entry itself: equal to the
+        // by-value results, the same allocation on every hit, and the
+        // same deps `trace_deps` reports.
+        let shared = engine.trace_shared(f.entry(), callsite, 1);
+        assert_eq!(engine.cache_stats(), (2, 1));
+        assert_eq!(shared.tree, first);
+        assert!(Arc::ptr_eq(
+            &shared,
+            &engine.trace_shared(f.entry(), callsite, 1)
+        ));
+        assert_eq!(
+            engine.trace_deps(f.entry(), callsite, 1).as_ref(),
+            Some(&shared.deps)
+        );
+        let (tree, deps) = engine.trace_with_deps(f.entry(), callsite, 1);
+        assert_eq!((&tree, &deps), (&shared.tree, &shared.deps));
+        let (tree, stats) = engine.trace_with_stats(f.entry(), callsite, 1);
+        assert_eq!((&tree, stats), (&shared.tree, shared.lib_stats));
+        assert_eq!(engine.cache_stats(), (5, 1));
+        // A fresh engine walks the same query to an equal result.
+        assert_eq!(
+            *TaintEngine::new(&p).trace_shared(f.entry(), callsite, 1),
+            *shared
+        );
         // A different argument is a different query.
         engine.trace(f.entry(), callsite, 0);
-        assert_eq!(engine.cache_stats(), (1, 2));
+        assert_eq!(engine.cache_stats(), (5, 2));
     }
 
     #[test]

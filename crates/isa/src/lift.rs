@@ -54,6 +54,15 @@ pub enum LiftError {
         /// The out-of-range index.
         index: u16,
     },
+    /// A function's extent, as laid out by the symbol table, covers an
+    /// address with no code word (past the end of a truncated code image,
+    /// or misaligned).
+    AddressOutsideCode {
+        /// The function whose body reaches outside the code.
+        function: String,
+        /// The first address without a code word.
+        addr: u32,
+    },
 }
 
 impl fmt::Display for LiftError {
@@ -77,6 +86,12 @@ impl fmt::Display for LiftError {
                 write!(
                     f,
                     "callx at {addr:#x} references import #{index} beyond the table"
+                )
+            }
+            LiftError::AddressOutsideCode { function, addr } => {
+                write!(
+                    f,
+                    "function {function} extends to {addr:#x}, outside the code image"
                 )
             }
         }
@@ -165,7 +180,14 @@ fn lift_function(
     let mut insts: Vec<(u32, Inst)> = Vec::new();
     let mut addr = fs.addr;
     while addr < end {
-        let word = exe.word_at(addr).expect("address within code image");
+        // The symbol table is untrusted: a function symbol (or the next
+        // one, which bounds this body) may point past the code.
+        let word = exe
+            .word_at(addr)
+            .ok_or_else(|| LiftError::AddressOutsideCode {
+                function: fs.name.clone(),
+                addr,
+            })?;
         let inst = decode(word).map_err(|err| LiftError::Decode { addr, err })?;
         insts.push((addr, inst));
         addr += 4;

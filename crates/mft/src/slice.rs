@@ -9,13 +9,15 @@
 
 use crate::split::split_format;
 use crate::tree::{Mft, MftNodeId, MftNodeKind};
-use firmres_dataflow::{DefUse, FieldSource};
+use firmres_dataflow::{DefUse, FieldSource, TaintEngine};
 use firmres_ir::{
-    is_import_address, AddressSpace, ColdPath, DataType, Function, Opcode, PcodeOp, Program,
-    Varnode,
+    is_import_address, Address, AddressSpace, ColdPath, DataType, Function, Opcode, PcodeOp,
+    Program, Varnode,
 };
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A code slice for one message field.
@@ -38,13 +40,147 @@ pub struct CodeSlice {
 /// Render one operation in the enriched form, e.g.
 /// `CALL (Fun, sprintf), (Local, buf, v_2443), (Cons, "mac=%s")`.
 pub fn enrich_op(program: &Program, func: &Function, op: &PcodeOp) -> String {
-    enrich_op_with(program, func, op, None)
+    let mut out = String::new();
+    write_op(&mut out, program, func, op, None);
+    out
+}
+
+/// Append the enriched rendering of `op` to `out` — the bytes
+/// [`enrich_op_with`] returns, written in place with no intermediate
+/// `String` per operand.
+fn write_op(
+    out: &mut String,
+    program: &Program,
+    func: &Function,
+    op: &PcodeOp,
+    du: Option<&DefUse>,
+) {
+    out.push_str(op.opcode.mnemonic());
+    out.push(' ');
+    // Every operand renders non-empty, so "anything written since the
+    // mnemonic" is exactly "not the first operand".
+    let start = out.len();
+    let sep = |out: &mut String| {
+        if out.len() > start {
+            out.push_str(", ");
+        }
+    };
+    if op.opcode.is_call() {
+        // First input is the target; render it as a function.
+        if let Some(target) = op.inputs.first().and_then(Varnode::const_value) {
+            out.push_str("(Fun, ");
+            out.push_str(program.callee_name(target).unwrap_or("indirect"));
+            out.push(')');
+        }
+        for arg in op.call_args() {
+            let resolved = du.map_or(Cow::Borrowed(arg), |du| resolve_call_arg(func, op, arg, du));
+            sep(out);
+            write_varnode(out, program, func, &resolved);
+        }
+    } else {
+        for v in op.output.iter().chain(&op.inputs) {
+            sep(out);
+            write_varnode(out, program, func, v);
+        }
+    }
+}
+
+/// [`enrich_call_arg`]'s definition-chain walk, answering with the
+/// varnode to render instead of its text, and asking the def-use
+/// analysis for the single reaching definition without collecting the
+/// list.
+fn resolve_call_arg<'a>(
+    func: &Function,
+    call: &PcodeOp,
+    arg: &'a Varnode,
+    du: &DefUse,
+) -> Cow<'a, Varnode> {
+    let Some(mut pos) = du.position_of(call.addr) else {
+        return Cow::Borrowed(arg);
+    };
+    let mut v = Cow::Borrowed(arg);
+    for _ in 0..8 {
+        if v.is_const() || func.symbols().lookup(&v).is_some() {
+            break;
+        }
+        let Some(def) = du.unique_reaching_def(pos, &v) else {
+            break;
+        };
+        let op = op_of(func, def);
+        match op.opcode {
+            Opcode::Copy => {
+                v = Cow::Owned(op.inputs[0].clone());
+                pos = def;
+            }
+            // `lea` of a named local: addi rd, sp, off.
+            Opcode::IntAdd => {
+                if op.inputs[0] == Varnode::new(AddressSpace::Register, 2, 4) {
+                    if let Some(k) = op.inputs[1].const_value() {
+                        let slot = Varnode::stack(k as i64, 4);
+                        if func.symbols().lookup(&slot).is_some() {
+                            v = Cow::Owned(slot);
+                        }
+                    }
+                }
+                break;
+            }
+            _ => break,
+        }
+    }
+    v
+}
+
+/// Append the enriched `(Datatype, Name, NodeID)` form of `v` to `out` —
+/// the bytes [`enrich_varnode`] returns.
+fn write_varnode(out: &mut String, program: &Program, func: &Function, v: &Varnode) {
+    if let Some(value) = v.const_value() {
+        if is_import_address(value) || program.function(value).is_some() {
+            out.push_str("(Fun, ");
+            out.push_str(program.callee_name(value).unwrap_or("fn"));
+            out.push(')');
+        } else if let Some(s) = program.string_at(value) {
+            out.push_str("(Cons, \"");
+            out.push_str(s);
+            out.push_str("\")");
+        } else {
+            write!(out, "(Cons, {value:#x})").expect("write to String");
+        }
+        return;
+    }
+    let symbols = func.symbols();
+    if let Some(sym) = symbols.lookup(v) {
+        if sym.data_type == DataType::Function {
+            out.push_str("(Fun, ");
+            out.push_str(&sym.name);
+            out.push(')');
+            return;
+        }
+        out.push('(');
+        out.push_str(sym.data_type.tag());
+        out.push_str(", ");
+        out.push_str(&sym.name);
+    } else {
+        // Unnamed storage: synthesize a decompiler-style name.
+        match v.space {
+            AddressSpace::Register => write!(out, "(Local, r{}", v.offset),
+            AddressSpace::Stack => write!(out, "(Local, local_{:x}", v.offset as i64),
+            AddressSpace::Unique => write!(out, "(Local, tmp{}", v.offset),
+            _ => out.write_str("(Local, anon"),
+        }
+        .expect("write to String");
+    }
+    write!(out, ", v_{})", symbols.node_id(v)).expect("write to String");
 }
 
 /// [`enrich_op`] with an optional def-use analysis: when available, call
 /// arguments held in bare registers are traced one definition back so
 /// named locals and string constants appear in the slice text — what a
 /// decompiler shows at the call site (`sprintf(buf, "mac=%s", mac)`).
+///
+/// This is the pre-optimization renderer, one `String` per operand
+/// joined at the end, kept as the byte-identity oracle of the reference
+/// cold path; the optimized path writes the same bytes with
+/// [`write_op`].
 pub(crate) fn enrich_op_with(
     program: &Program,
     func: &Function,
@@ -300,6 +436,11 @@ pub fn slices_for_tree(program: &Program, mft: &Mft) -> Vec<CodeSlice> {
 /// firmware (the pipeline renders hundreds of slices over the same few
 /// functions).
 ///
+/// A renderer built with [`SliceRenderer::for_engine`] owns no analyses
+/// at all: it reads the taint engine's per-function def-use cache, so a
+/// function the engine already solved while tracing is never solved a
+/// second time for rendering.
+///
 /// The renderer is `Sync` — the def-use cache lives behind a lock, so one
 /// renderer can serve the pipeline's parallel message units. Cached
 /// analyses are deterministic functions of the immutable program, so a
@@ -307,7 +448,15 @@ pub fn slices_for_tree(program: &Program, mft: &Mft) -> Vec<CodeSlice> {
 pub struct SliceRenderer<'p> {
     program: &'p Program,
     mode: ColdPath,
-    defuse: RwLock<BTreeMap<u64, Arc<DefUse>>>,
+    defuse: DefUseSource<'p>,
+}
+
+/// Where a [`SliceRenderer`] gets its per-function def-use analyses.
+enum DefUseSource<'p> {
+    /// A cache of the renderer's own.
+    Own(RwLock<BTreeMap<Address, Arc<DefUse>>>),
+    /// The cache of the taint engine whose traces are being rendered.
+    Engine(&'p TaintEngine<'p>),
 }
 
 impl<'p> SliceRenderer<'p> {
@@ -324,16 +473,34 @@ impl<'p> SliceRenderer<'p> {
         SliceRenderer {
             program,
             mode,
-            defuse: RwLock::new(BTreeMap::new()),
+            defuse: DefUseSource::Own(RwLock::new(BTreeMap::new())),
         }
     }
 
-    fn du(&self, func: u64, f: &Function) -> Arc<DefUse> {
-        if let Some(du) = self.defuse.read().get(&func) {
-            return Arc::clone(du);
+    /// Create a renderer over `engine`'s program that borrows the
+    /// engine's per-function def-use cache and renders in the engine's
+    /// [`ColdPath`] mode. Slices are byte-identical to those of
+    /// [`SliceRenderer::with_mode`]; each function is solved once for
+    /// tracing and rendering together.
+    pub fn for_engine(engine: &'p TaintEngine<'p>) -> Self {
+        SliceRenderer {
+            program: engine.program(),
+            mode: engine.config().cold_path,
+            defuse: DefUseSource::Engine(engine),
         }
-        let du = Arc::new(DefUse::compute_with(f, self.mode));
-        Arc::clone(self.defuse.write().entry(func).or_insert(du))
+    }
+
+    fn du(&self, func: Address, f: &Function) -> Arc<DefUse> {
+        match &self.defuse {
+            DefUseSource::Engine(engine) => engine.def_use(func).expect("function exists"),
+            DefUseSource::Own(cache) => {
+                if let Some(du) = cache.read().get(&func) {
+                    return Arc::clone(du);
+                }
+                let du = Arc::new(DefUse::compute_with(f, self.mode));
+                Arc::clone(cache.write().entry(func).or_insert(du))
+            }
+        }
     }
 
     /// Produce a [`CodeSlice`] for every field leaf of `mft` (see
@@ -343,8 +510,8 @@ impl<'p> SliceRenderer<'p> {
     /// every operation of every root-to-leaf path from scratch (the
     /// pre-optimization behaviour, kept as the byte-identity oracle),
     /// while the optimized mode renders each distinct operation once per
-    /// firmware via the cross-tree line memo and assembles slice text in
-    /// a single buffer.
+    /// tree into a per-tree line memo and assembles slice text in a
+    /// single buffer.
     pub fn slices_for_tree(&self, mft: &Mft) -> Vec<CodeSlice> {
         match self.mode {
             ColdPath::Reference => self.slices_for_tree_reference(mft),
@@ -413,18 +580,25 @@ impl<'p> SliceRenderer<'p> {
     /// Memoized rendering: byte-identical to
     /// [`Self::slices_for_tree_reference`] (the cold-path gate's report
     /// comparison pins this), with each node's operation rendered once
-    /// per tree and slice text assembled in one buffer.
+    /// per tree, every path hash folded once per node, and slice text
+    /// assembled in one buffer.
     fn slices_for_tree_memo(&self, mft: &Mft) -> Vec<CodeSlice> {
         let program = self.program;
         let pieces = piece_map(mft);
+        let path_hashes = mft.path_hashes();
         // A node's operation renders identically for every leaf whose
         // path crosses it, and path prefixes are shared (the delivery
         // call sits on *every* path) — render each node once per tree
-        // instead of once per leaf. The leaf-dependent template
-        // substitution below is applied while copying into the slice
-        // buffer, so the memo stays leaf-independent and the emitted
-        // text is unchanged.
-        let mut node_lines: BTreeMap<MftNodeId, Option<String>> = BTreeMap::new();
+        // instead of once per leaf, into one arena indexed by node id.
+        // The leaf-dependent template substitution below is applied
+        // while copying into the slice buffer, so the memo stays
+        // leaf-independent and the emitted text is unchanged.
+        let mut arena = String::new();
+        let mut lines = vec![Line::Unrendered; mft.len()];
+        // The def-use of the function rendered last: consecutive nodes
+        // almost always share a function.
+        let mut last_du: Option<(Address, Arc<DefUse>)> = None;
+        let mut path = Vec::new();
         let mut out = Vec::new();
         for leaf in mft.leaves() {
             let source = match &mft.node(leaf).kind {
@@ -432,7 +606,7 @@ impl<'p> SliceRenderer<'p> {
                 _ => continue,
             };
             // Collect path root→leaf.
-            let mut path = Vec::new();
+            path.clear();
             let mut cur = Some(leaf);
             while let Some(id) = cur {
                 path.push(id);
@@ -442,60 +616,68 @@ impl<'p> SliceRenderer<'p> {
             let info = pieces.get(&leaf);
             // Assemble the slice text directly: appending each line (with
             // the `" ; "` separator between lines) produces the same
-            // bytes the reference `Vec<String>` + `join(" ; ")` does,
-            // without an owned copy of every memoized line per leaf.
+            // bytes the reference `Vec<String>` + `join(" ; ")` does.
             let mut text = String::new();
             for id in &path {
-                let line = node_lines.entry(*id).or_insert_with(|| {
+                if lines[id.0] == Line::Unrendered {
+                    lines[id.0] = Line::Absent;
                     let n = mft.node(*id);
-                    let op = n.op.as_ref()?;
-                    let f = program.function(n.func)?;
-                    let du = self.du(n.func, f);
-                    Some(enrich_op_with(program, f, op, Some(&du)))
-                });
-                if let Some(line) = line {
-                    if !text.is_empty() {
-                        text.push_str(" ; ");
-                    }
-                    // Partial-message separation: this field's slice shows
-                    // only its own piece of a multi-field template, not the
-                    // whole format string (which would leak sibling keys
-                    // into the classifier's context). The streamed scan
-                    // below is `str::replace` (leftmost, non-overlapping)
-                    // writing straight into the slice buffer.
-                    match info {
-                        Some(PieceInfo {
-                            piece,
-                            full_template: Some(full),
-                        }) if !full.is_empty() => {
-                            let mut rest: &str = line;
-                            while let Some(pos) = rest.find(full.as_str()) {
-                                text.push_str(&rest[..pos]);
-                                text.push_str(piece);
-                                rest = &rest[pos + full.len()..];
+                    if let (Some(op), Some(f)) = (&n.op, program.function(n.func)) {
+                        let du = match &last_du {
+                            Some((func, du)) if *func == n.func => Arc::clone(du),
+                            _ => {
+                                let du = self.du(n.func, f);
+                                last_du = Some((n.func, Arc::clone(&du)));
+                                du
                             }
-                            text.push_str(rest);
-                        }
-                        Some(PieceInfo {
-                            piece,
-                            full_template: Some(full),
-                        }) => {
-                            // Degenerate empty template: defer to
-                            // `str::replace` for its exact semantics.
-                            text.push_str(&line.replace(full.as_str(), piece.as_str()));
-                        }
-                        _ => text.push_str(line),
+                        };
+                        let start = arena.len();
+                        write_op(&mut arena, program, f, op, Some(&du));
+                        lines[id.0] = Line::At(start, arena.len());
                     }
+                }
+                let Line::At(start, end) = lines[id.0] else {
+                    continue;
+                };
+                let line = &arena[start..end];
+                if !text.is_empty() {
+                    text.push_str(" ; ");
+                }
+                // Partial-message separation: this field's slice shows
+                // only its own piece of a multi-field template, not the
+                // whole format string (which would leak sibling keys
+                // into the classifier's context). The streamed scan
+                // below is `str::replace` (leftmost, non-overlapping)
+                // writing straight into the slice buffer.
+                match info {
+                    Some(PieceInfo {
+                        piece,
+                        full_template: Some(full),
+                    }) if !full.is_empty() => {
+                        let mut rest = line;
+                        while let Some(pos) = rest.find(full.as_str()) {
+                            text.push_str(&rest[..pos]);
+                            text.push_str(piece);
+                            rest = &rest[pos + full.len()..];
+                        }
+                        text.push_str(rest);
+                    }
+                    Some(PieceInfo {
+                        piece,
+                        full_template: Some(full),
+                    }) => {
+                        // Degenerate empty template: defer to
+                        // `str::replace` for its exact semantics.
+                        text.push_str(&line.replace(full.as_str(), piece.as_str()));
+                    }
+                    _ => text.push_str(line),
                 }
             }
             // The leaf itself (source description) closes the slice.
             if !text.is_empty() {
                 text.push_str(" ; ");
             }
-            {
-                use std::fmt::Write as _;
-                write!(text, "SRC {source}").expect("write to String");
-            }
+            write!(text, "SRC {source}").expect("write to String");
             if let Some(info) = info {
                 text.push_str(" ; FIELD (Cons, \"");
                 text.push_str(&info.piece);
@@ -505,12 +687,24 @@ impl<'p> SliceRenderer<'p> {
                 text,
                 source,
                 leaf,
-                path_hash: mft.path_hash(leaf),
+                path_hash: path_hashes[leaf.0],
                 piece: info.map(|i| i.piece.clone()),
             });
         }
         out
     }
+}
+
+/// A node's slot in the per-tree line memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Line {
+    /// Not visited yet.
+    Unrendered,
+    /// The node has no operation (or its function is missing): it
+    /// contributes no line.
+    Absent,
+    /// The rendered line is `arena[start..end]`.
+    At(usize, usize),
 }
 
 /// Whether an opcode would normally appear in slices (used by tests and

@@ -4,6 +4,28 @@ use firmres_dataflow::{FieldSource, TaintNodeKind, TaintTree};
 use firmres_ir::{Address, PcodeOp};
 use std::fmt::Write as _;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over whatever is written into it, so a `Display` value hashes
+/// without being rendered to a `String` first.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = (self.0 ^ *b as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Identifier of a node within an [`Mft`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MftNodeId(pub usize);
@@ -305,6 +327,49 @@ impl Mft {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
+    }
+
+    /// [`Mft::path_hash`] of every node at once, indexed by node id.
+    ///
+    /// The fold is the same FNV walk, root first, but each node extends
+    /// its parent's prefix hash instead of re-walking its whole path, and
+    /// labels stream into the hash without being cloned. One pass over
+    /// the nodes replaces one path walk per leaf.
+    pub fn path_hashes(&self) -> Vec<u64> {
+        let mut hashes = vec![0; self.nodes.len()];
+        let mut done = vec![false; self.nodes.len()];
+        let mut pending = Vec::new();
+        for start in 0..self.nodes.len() {
+            // Climb to the nearest node whose prefix is known (or past
+            // the root), then fold back down. Each node is folded once.
+            let mut cur = Some(start);
+            while let Some(id) = cur.filter(|&id| !done[id]) {
+                pending.push(id);
+                cur = self.nodes[id].parent.map(|p| p.0);
+            }
+            let mut h = cur.map_or(FNV_OFFSET, |id| hashes[id]);
+            while let Some(id) = pending.pop() {
+                h = self.fold_node(h, id);
+                hashes[id] = h;
+                done[id] = true;
+            }
+        }
+        hashes
+    }
+
+    /// One step of the path-hash fold: node `id`'s label bytes, then its
+    /// child count.
+    fn fold_node(&self, h: u64, id: usize) -> u64 {
+        let node = &self.nodes[id];
+        let mut fnv = Fnv(h);
+        match &node.kind {
+            MftNodeKind::Root { delivery: label }
+            | MftNodeKind::Concat { via: label }
+            | MftNodeKind::Op { label }
+            | MftNodeKind::Annotation(label) => fnv.bytes(label.as_bytes()),
+            MftNodeKind::Field(s) => write!(fnv, "{s}").expect("hashing cannot fail"),
+        }
+        (fnv.0 ^ node.children.len() as u64).wrapping_mul(FNV_PRIME)
     }
 
     /// ASCII rendering for reports and the Fig. 5 demonstration binary.

@@ -8,10 +8,7 @@
 //! in the reproduction pipeline the corpus ground truth plays the role of
 //! the manual correction.
 
-use crate::fnv::FnvBuildHasher;
-use crate::token::for_each_token;
 use crate::{tokenize, Primitive};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// A keyword match explaining a weak label.
@@ -151,77 +148,187 @@ pub fn weak_label_with_report(slice_text: &str) -> Option<KeywordHit> {
     None
 }
 
-/// The dictionaries flattened into priority ranks: `ranks[kw]` is the
-/// position of `kw`'s first occurrence in the `(dictionary, keyword)`
-/// scan order of [`weak_label_with_report`], and `flat[rank]` maps back
-/// to the primitive and keyword. Built once, on first use.
+/// Longest keyword length the shape index can hold: lengths index a
+/// 32-bit mask and a 32-slot bucket row.
+const MAX_KEYWORD_LEN: usize = 31;
+
+/// The dictionaries flattened into priority ranks and bucketed by shape.
+///
+/// A keyword's rank is the position of its first occurrence in the
+/// `(dictionary, keyword)` scan order of [`weak_label_with_report`];
+/// `flat[rank]` maps back to the primitive and keyword. Built once, on
+/// first use.
 struct KeywordIndex {
-    ranks: HashMap<&'static str, u32, FnvBuildHasher>,
     flat: Vec<(Primitive, &'static str)>,
-    /// Per-first-byte bitmask of keyword lengths (bit `min(len, 31)`):
-    /// a token whose `(first byte, length)` pair clears its bit cannot
-    /// be a keyword, so the map probe — hashing the token — is skipped.
-    /// Nearly every token of a real slice (registers, hex ids, glue)
-    /// rejects here in two loads.
+    /// Per-first-byte bitmask of keyword lengths (bit `len`): a run
+    /// whose `(lowercased first byte, length)` pair clears its bit
+    /// cannot be a keyword, so it is rejected without being compared or
+    /// lowercased. Nearly every run of a real slice (registers, hex ids,
+    /// glue) rejects here in two loads.
     len_masks: [u32; 256],
+    /// Ranks bucketed by shape: the ranks of keywords starting with
+    /// letter `c` and `n` bytes long are
+    /// `ranks[starts[bucket(c, n)]..starts[bucket(c, n) + 1]]`.
+    starts: Vec<u16>,
+    ranks: Vec<u32>,
+}
+
+/// Every keyword starts with a lowercase ASCII letter.
+fn bucket(first: u8, len: usize) -> usize {
+    (first - b'a') as usize * (MAX_KEYWORD_LEN + 1) + len
 }
 
 impl KeywordIndex {
-    fn could_match(&self, token: &str) -> bool {
-        match token.as_bytes().first() {
-            Some(&b) => self.len_masks[b as usize] & (1u32 << token.len().min(31)) != 0,
-            None => false,
+    /// The rank of `word` — a run of `[A-Za-z0-9_]` bytes, compared
+    /// ASCII-case-insensitively — or `None` when it is no keyword.
+    fn rank(&self, word: &[u8]) -> Option<u32> {
+        let (&first, rest) = word.split_first()?;
+        let first = first.to_ascii_lowercase();
+        if word.len() > MAX_KEYWORD_LEN || self.len_masks[first as usize] >> word.len() & 1 == 0 {
+            return None;
         }
+        let b = bucket(first, word.len());
+        self.ranks[self.starts[b] as usize..self.starts[b + 1] as usize]
+            .iter()
+            .copied()
+            .find(|&rank| self.flat[rank as usize].1.as_bytes()[1..].eq_ignore_ascii_case(rest))
     }
 }
 
 fn keyword_index() -> &'static KeywordIndex {
     static INDEX: OnceLock<KeywordIndex> = OnceLock::new();
     INDEX.get_or_init(|| {
-        let mut ranks: HashMap<&'static str, u32, FnvBuildHasher> = HashMap::default();
         let mut flat = Vec::new();
         let mut len_masks = [0u32; 256];
+        // (bucket, rank) of each keyword's first occurrence.
+        let mut shaped: Vec<(usize, u32)> = Vec::new();
         for (primitive, keywords) in DICTIONARIES {
             for kw in *keywords {
-                // First occurrence wins, like the priority scan.
-                ranks.entry(kw).or_insert(flat.len() as u32);
+                let rank = flat.len() as u32;
                 flat.push((*primitive, *kw));
-                len_masks[kw.as_bytes()[0] as usize] |= 1u32 << kw.len().min(31);
+                if flat[..rank as usize].iter().any(|(_, k)| k == kw) {
+                    continue; // first occurrence wins, like the priority scan
+                }
+                let first = kw.as_bytes()[0];
+                assert!(
+                    first.is_ascii_lowercase() && kw.len() <= MAX_KEYWORD_LEN,
+                    "keyword {kw:?} outside the shape index"
+                );
+                len_masks[first as usize] |= 1u32 << kw.len();
+                shaped.push((bucket(first, kw.len()), rank));
             }
         }
+        shaped.sort_unstable();
+        let nbuckets = bucket(b'z', MAX_KEYWORD_LEN) + 1;
+        let mut starts = vec![0u16; nbuckets + 1];
+        for &(b, _) in &shaped {
+            starts[b + 1] += 1;
+        }
+        for b in 0..nbuckets {
+            starts[b + 1] += starts[b];
+        }
         KeywordIndex {
-            ranks,
             flat,
             len_masks,
+            starts,
+            ranks: shaped.into_iter().map(|(_, rank)| rank).collect(),
         }
     })
 }
 
-/// Single-pass [`weak_label_with_report`]: stream the tokens, look each
-/// up in the prebuilt keyword index, and keep the best (lowest) priority
-/// rank seen.
+/// Single-pass [`weak_label_with_report`] over the bytes of the text:
+/// find each token of [`crate::tokenize`] in place and keep the best
+/// (lowest) priority rank seen.
 ///
 /// The reference scan returns the first `(dictionary, keyword)` pair —
 /// in priority order — matched by *any* token; that is exactly the
 /// minimum rank over the matching tokens, so the two implementations
-/// agree on every input (the property test below checks it). The cost
-/// drops from `O(tokens × keywords)` string comparisons plus a
-/// `Vec<String>` per slice to one hash lookup per token.
+/// agree on every input (the property tests below check it). Tokens are
+/// the maximal `[A-Za-z0-9_]` runs, plus — only for runs holding `_` or
+/// a lower→upper boundary — their `_`/camelCase parts. A token is
+/// checked against the shape mask before any comparison, and compared
+/// case-insensitively, so nothing is lowercased, copied or hashed.
+/// Every other byte, including all of a multi-byte UTF-8 character,
+/// separates tokens, as the `char`-level split of `tokenize` does.
 pub fn weak_label_streamed(slice_text: &str) -> Option<KeywordHit> {
     let index = keyword_index();
+    let bytes = slice_text.as_bytes();
     let mut best = u32::MAX;
-    for_each_token(slice_text, |t| {
-        if index.could_match(t) {
-            if let Some(&rank) = index.ranks.get(t) {
-                best = best.min(rank);
-            }
+    let mut probe = |word: &[u8]| {
+        if let Some(rank) = index.rank(word) {
+            best = best.min(rank);
         }
-    });
+    };
+    let mut i = 0;
+    while i < bytes.len() {
+        if BYTE_CLASS[bytes[i] as usize] == SEP {
+            i += 1;
+            continue;
+        }
+        // One pass over the run: its `_`/camelCase parts are probed as
+        // their boundaries are met, so a run with no boundary is never
+        // split, and the whole run is probed at its end.
+        let start = i;
+        let mut part = i;
+        let mut compound = false;
+        let mut prev_lower = false;
+        while i < bytes.len() {
+            match BYTE_CLASS[bytes[i] as usize] {
+                SEP => break,
+                LOWER_OR_DIGIT => prev_lower = true,
+                UPPER => {
+                    if prev_lower {
+                        probe(&bytes[part..i]);
+                        part = i;
+                        compound = true;
+                    }
+                    prev_lower = false;
+                }
+                _ => {
+                    probe(&bytes[part..i]);
+                    part = i + 1;
+                    compound = true;
+                    prev_lower = false;
+                }
+            }
+            i += 1;
+        }
+        probe(&bytes[start..i]);
+        if compound {
+            probe(&bytes[part..i]);
+        }
+    }
     index
         .flat
         .get(best as usize)
         .map(|&(primitive, keyword)| KeywordHit { primitive, keyword })
 }
+
+/// Byte classes of the token scan: anything outside `[A-Za-z0-9_]`
+/// (every byte of a multi-byte UTF-8 character included) separates.
+const SEP: u8 = 0;
+const LOWER_OR_DIGIT: u8 = 1;
+const UPPER: u8 = 2;
+const UNDERSCORE: u8 = 3;
+
+static BYTE_CLASS: [u8; 256] = {
+    let mut table = [SEP; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = if c.is_ascii_lowercase() || c.is_ascii_digit() {
+            LOWER_OR_DIGIT
+        } else if c.is_ascii_uppercase() {
+            UPPER
+        } else if c == b'_' {
+            UNDERSCORE
+        } else {
+            SEP
+        };
+        b += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
@@ -312,7 +419,87 @@ mod tests {
         }
     }
 
+    #[test]
+    fn streamed_matches_reference_on_byte_level_edges() {
+        for text in [
+            "MAC",
+            "Device_Key",
+            "getAccessToken",
+            "x_token_",
+            "__sig__",
+            "serialNumberIMEI",
+            "token日本mac",
+            "ümac",
+            "host\u{00e9}name",
+            "abcdefghijklmnopqrstuvwxyz_abcdefgh_token",
+            "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+            "mac1Token",
+            "SN",
+            "_",
+        ] {
+            assert_eq!(
+                weak_label_streamed(text),
+                weak_label_with_report(text),
+                "on {text:?}"
+            );
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn byte_level_labeller_matches_reference_on_any_string(
+            codes in proptest::collection::vec(proptest::prelude::any::<u32>(), 0..80),
+        ) {
+            // Three in four characters ASCII, the rest any code point,
+            // so runs, separators and multi-byte UTF-8 all appear.
+            let text: String = codes
+                .into_iter()
+                .map(|c| match c % 4 {
+                    0 => char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'),
+                    _ => char::from((c >> 2) as u8 & 0x7f),
+                })
+                .collect();
+            proptest::prop_assert_eq!(
+                weak_label_streamed(&text),
+                weak_label_with_report(&text)
+            );
+        }
+
+        #[test]
+        fn byte_level_labeller_matches_reference_on_identifier_soup(
+            // (word, separator, capitalize) triples: joining with `_`
+            // or nothing builds compounds and camelCase runs, the
+            // multi-byte separators exercise the UTF-8 split, and the
+            // long pool words push runs past the 31-byte shape limit.
+            picks in proptest::collection::vec(
+                (0usize..20, 0usize..8, proptest::prelude::any::<bool>()),
+                0..12,
+            ),
+        ) {
+            const POOL: [&str; 20] = [
+                "mac", "token", "password", "sig", "secret", "host", "sn", "ip",
+                "device_key", "deviceId", "serialNumber", "snapshot", "uploadType",
+                "hardwareversion", "firmwareversion", "v_12", "0x1f", "CALL",
+                "averyveryverylongidentifierthatkeepsgoing", "abcdefghijklmnopqrstuvwxyzabcdef",
+            ];
+            const SEPS: [&str; 8] = [" ", "_", "", "=", " ; ", "é", "日", "__"];
+            let mut text = String::new();
+            for (word, sep, capitalize) in picks {
+                let word = POOL[word];
+                if capitalize {
+                    text.push_str(&word[..1].to_ascii_uppercase());
+                    text.push_str(&word[1..]);
+                } else {
+                    text.push_str(word);
+                }
+                text.push_str(SEPS[sep]);
+            }
+            proptest::prop_assert_eq!(
+                weak_label_streamed(&text),
+                weak_label_with_report(&text)
+            );
+        }
+
         #[test]
         fn streamed_always_matches_reference(
             // Indices into a pool of dictionary words, near-miss words

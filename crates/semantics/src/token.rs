@@ -20,9 +20,9 @@ pub fn tokenize(text: &str) -> Vec<String> {
 ///
 /// `tokenize` is implemented on top of this, so the token streams are
 /// equivalent by construction; callers that only need to *look at* each
-/// token (the keyword labeler, the featurizer) skip the per-token
-/// allocations entirely. The `&str` passed to `f` borrows a scratch
-/// buffer and is only valid for the duration of the call.
+/// token (the featurizer) skip the per-token allocations entirely. The
+/// `&str` passed to `f` borrows a scratch buffer and is only valid for
+/// the duration of the call.
 pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     // Runs are pure ASCII (the split keeps only `[A-Za-z0-9_]`), so
     // byte-indexed slicing and per-char lowercasing are safe below.

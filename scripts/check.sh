@@ -10,6 +10,13 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark build (perfbench against the current crate APIs)"
+# perfbench is a separate workspace with path dependencies on crates/*:
+# building it here fails the gate when a crate change breaks an API the
+# benchmark calls (SliceRenderer::with_mode, TaintEngine::trace_with_stats,
+# UnitClassifier::with_cache, run_message_unit, slices_for_tree, ...).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -138,6 +138,46 @@ fn executable_with_reserved_opcodes_fails_to_lift_cleanly() {
 }
 
 #[test]
+fn function_symbol_past_the_code_is_a_lift_error_not_a_panic() {
+    let dev = generate_device(15, 7);
+    let path = dev.cloud_executable.as_deref().unwrap();
+    let mut exe = dev.firmware.load_executable(path).unwrap();
+    // Shift the last function symbol past the end of the code: the
+    // function before it now claims a body that runs off the image.
+    let past = exe.code_end() + 64;
+    exe.funcs
+        .iter_mut()
+        .max_by_key(|f| f.addr)
+        .expect("agent has functions")
+        .addr = past;
+    // Resealing recomputes the checksum, so the damage reaches the
+    // lifter instead of being caught by the container.
+    let resealed = exe.to_bytes().to_vec();
+    let parsed = Executable::from_bytes(&resealed).expect("resealed image parses");
+    match firmres_isa::lift(&parsed, path) {
+        Err(firmres_isa::LiftError::AddressOutsideCode { addr, .. }) => {
+            assert!(addr >= parsed.code_end(), "{addr:#x}");
+        }
+        other => panic!("expected an out-of-code lift error, got {other:?}"),
+    }
+    let mut fw = dev.firmware.clone();
+    fw.add_file(path, FileEntry::Executable(resealed));
+    let analysis = analyze_firmware(&fw, None, &AnalysisConfig::default());
+    assert!(analysis.counters.lift_failures >= 1, "lift failure counted");
+    assert!(
+        analysis
+            .diagnostics
+            .iter()
+            .any(|d| d.stage == StageKind::ExeId
+                && d.severity == Severity::Warning
+                && d.subject.as_deref() == Some(path)
+                && d.detail.contains("outside the code image")),
+        "lift failure diagnosed: {:?}",
+        analysis.diagnostics
+    );
+}
+
+#[test]
 fn mre_truncation_and_checksum_errors() {
     let dev = generate_device(15, 7);
     let path = dev.cloud_executable.as_deref().unwrap();
