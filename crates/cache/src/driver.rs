@@ -199,7 +199,9 @@ pub fn analyze_corpus_incremental(
     // repaired (overwritten) even when the analysis was spliced.
     for ((i, diag), (result, cache_diags)) in misses.into_iter().zip(fresh) {
         let mut spliced = false;
-        let analysis = match result {
+        // The funnel's bytes are the analysis's `put_analysis` encoding:
+        // they become the entry's analysis section without a re-encode.
+        let (analysis, encoded) = match result {
             Ok(out) => {
                 stats.unit_hits += out.stats.unit_hits;
                 stats.unit_misses += out.stats.unit_misses;
@@ -211,14 +213,23 @@ pub fn analyze_corpus_incremental(
                 for d in cache_diags.iter().filter(|d| d.stage == StageKind::Cache) {
                     observer.diagnostic(d);
                 }
-                codec::get_analysis(&mut Reader::new(&out.bytes)).ok()
+                codec::get_analysis(&mut Reader::new(&out.bytes))
+                    .ok()
+                    .map(|analysis| (analysis, Some(out.bytes)))
             }
             // Uncancellable funnel runs don't error; fall back anyway.
             Err(_) => None,
         }
-        .unwrap_or_else(|| analyze_firmware_jobs(images[i], classifier, config, par.units));
+        .unwrap_or_else(|| {
+            let analysis = analyze_firmware_jobs(images[i], classifier, config, par.units);
+            (analysis, None)
+        });
         if !spliced || diag.is_some() {
-            match cache.store(&keys[i], &analysis) {
+            let stored = match &encoded {
+                Some(bytes) => cache.store_encoded(&keys[i], &analysis, bytes),
+                None => cache.store(&keys[i], &analysis),
+            };
+            match stored {
                 Ok(written) => {
                     stats.bytes_written += written;
                     observer.count(Counter::CacheBytesWritten, written);

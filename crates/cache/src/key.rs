@@ -163,19 +163,21 @@ pub fn config_fingerprint(config: &AnalysisConfig) -> u64 {
 /// model is part of the analysis identity. `None` maps to the reserved
 /// [`NO_CLASSIFIER`] marker; a trained model is hashed over its
 /// serialized form ([`Classifier::to_bytes`], which covers every weight
-/// bit), nudged off the marker value in the astronomically unlikely case
-/// the hash lands on it.
+/// bit) with [`content_hash_packed`], nudged off the marker value in the
+/// astronomically unlikely case the hash lands on it.
+///
+/// The hash is taken once per model: [`Classifier::fingerprint_with`]
+/// memoizes it, so a daemon keying every job against one model pays for
+/// serializing its ~229 KB of weights on the first key only. Clones
+/// carry the memo; a model reloaded from bytes recomputes the same
+/// value.
 pub fn classifier_fingerprint(classifier: Option<&Classifier>) -> u64 {
     match classifier {
         None => NO_CLASSIFIER,
-        Some(model) => {
-            let h = content_hash_packed(&model.to_bytes());
-            if h == NO_CLASSIFIER {
-                1
-            } else {
-                h
-            }
-        }
+        Some(model) => match model.fingerprint_with(content_hash_packed) {
+            NO_CLASSIFIER => 1,
+            h => h,
+        },
     }
 }
 
@@ -338,5 +340,27 @@ mod tests {
             with_model,
             CacheKey::of_packed(b"image", Some(&m2), &config)
         );
+    }
+
+    #[test]
+    fn classifier_fingerprint_is_the_serialized_hash_memoized() {
+        let m = trained(3);
+        let expect = content_hash_packed(&m.to_bytes());
+        // A clone taken before first use computes its own memo...
+        let early = m.clone();
+        assert_eq!(classifier_fingerprint(Some(&m)), expect, "first use");
+        assert_eq!(classifier_fingerprint(Some(&m)), expect, "memoized");
+        assert_eq!(classifier_fingerprint(Some(&early)), expect);
+        // ...one taken after carries it, and a reload recomputes it.
+        assert_eq!(classifier_fingerprint(Some(&m.clone())), expect);
+        let reloaded = Classifier::from_bytes(&m.to_bytes()).expect("round trip");
+        assert_eq!(classifier_fingerprint(Some(&reloaded)), expect);
+        // The memo is the model's own: a second model keeps its own value.
+        let other = trained(4);
+        assert_eq!(
+            classifier_fingerprint(Some(&other)),
+            content_hash_packed(&other.to_bytes())
+        );
+        assert_ne!(classifier_fingerprint(Some(&other)), expect);
     }
 }

@@ -343,7 +343,25 @@ impl AnalysisCache {
     /// Persist a finished analysis (plus its stage artifacts) under
     /// `key`. Returns the number of bytes written.
     pub fn store(&self, key: &CacheKey, analysis: &FirmwareAnalysis) -> Result<u64, CacheError> {
-        let mut out = Vec::with_capacity(4096);
+        let mut encoded = Vec::new();
+        put_analysis(&mut encoded, analysis);
+        self.store_encoded(key, analysis, &encoded)
+    }
+
+    /// [`AnalysisCache::store`] for a caller that already holds the
+    /// analysis's [`put_analysis`] encoding (the unit funnel returns it,
+    /// and the daemon sends the same bytes as its reply): `encoded`
+    /// becomes the entry's analysis section verbatim, so the analysis is
+    /// encoded once per job rather than once per consumer. `analysis`
+    /// must be what `encoded` decodes to; the handler and taint-summary
+    /// sections are derived from it.
+    pub fn store_encoded(
+        &self,
+        key: &CacheKey,
+        analysis: &FirmwareAnalysis,
+        encoded: &[u8],
+    ) -> Result<u64, CacheError> {
+        let mut out = Vec::with_capacity(4096 + encoded.len());
         out.put_slice(MAGIC);
         out.put_u16_le(SCHEMA_VERSION);
         out.put_u128_le(key.image);
@@ -366,9 +384,7 @@ impl AnalysisCache {
         }
         put_section(&mut out, &section);
 
-        let mut section = Vec::new();
-        put_analysis(&mut section, analysis);
-        put_section(&mut out, &section);
+        put_section(&mut out, encoded);
 
         out.put_u64_le(content_hash_packed(&out));
 

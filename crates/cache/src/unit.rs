@@ -1041,6 +1041,62 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    /// The funnel's bytes are canonical: re-encoding what they decode
+    /// to reproduces them exactly, so a consumer may ship or store them
+    /// in place of a fresh `put_analysis` of the decoded analysis. Holds
+    /// for cold outputs, fully and partially spliced ones, the early
+    /// return of an executable-less image, with and without a model.
+    #[test]
+    fn funnel_bytes_reencode_to_themselves() {
+        use firmres_semantics::{Primitive, TrainConfig};
+        let model = Classifier::train(
+            &[
+                ("mac address".to_string(), Primitive::DevIdentifier),
+                ("password login".to_string(), Primitive::UserCred),
+            ],
+            &TrainConfig {
+                epochs: 3,
+                ..Default::default()
+            },
+        );
+        let roundtrip = |bytes: &[u8]| {
+            let mut out = Vec::new();
+            codec::put_analysis(&mut out, &get_analysis(&mut Reader::new(bytes)).unwrap());
+            out
+        };
+        for (tag, classifier) in [("bare", None), ("model", Some(&model))] {
+            let cache = AnalysisCache::new(temp_dir(&format!("reencode-{tag}")));
+            for id in [10u8, 14, 21] {
+                let dev = generate_device(id, 7);
+                let update = firmres_corpus::mutate_firmware(&dev.firmware, 5.0, 1).image;
+                for (pass, fw) in [
+                    ("cold", &dev.firmware),
+                    ("warm", &dev.firmware),
+                    ("update", &update),
+                ] {
+                    let out = analyze_image_units_incremental(
+                        fw,
+                        classifier,
+                        &AnalysisConfig::default(),
+                        1,
+                        &cache,
+                        &mut NullObserver,
+                        None,
+                    )
+                    .unwrap();
+                    if pass == "warm" && id != 21 {
+                        assert!(
+                            out.stats.unit_hits > 0,
+                            "device {id} {tag}: warm pass splices"
+                        );
+                    }
+                    assert_eq!(roundtrip(&out.bytes), out.bytes, "device {id} {tag} {pass}");
+                }
+            }
+            let _ = std::fs::remove_dir_all(cache.dir());
+        }
+    }
+
     #[test]
     fn cancellation_is_surfaced() {
         let cache = AnalysisCache::new(temp_dir("cancel"));

@@ -23,6 +23,7 @@ use crate::Primitive;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::OnceLock;
 
 /// One weight row: all feature columns plus the bias column.
 const ROW: usize = FEATURE_DIM + 1;
@@ -106,6 +107,10 @@ pub struct Classifier {
     /// `max_{c ≠ None}(bias[c] − bias[None])` (may be negative).
     bias_gap: f64,
     report: TrainReport,
+    /// Memoized digest of [`Classifier::to_bytes`] (see
+    /// [`Classifier::fingerprint_with`]). The weights never change after
+    /// construction, so a clone may carry the memo along.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Classifier {
@@ -119,9 +124,10 @@ impl Classifier {
     pub fn train_with_report(data: &[(String, Primitive)], config: &TrainConfig) -> Classifier {
         let n_classes = Primitive::ALL.len();
         let mut flat = vec![0.0f32; n_classes * ROW];
+        let mut fz = Featurizer::default();
         let features: Vec<(Vec<(usize, f32)>, usize)> = data
             .iter()
-            .map(|(text, label)| (featurize(&tokenize(text)), label.index()))
+            .map(|(text, label)| (fz.features(text), label.index()))
             .collect();
         let mut order: Vec<usize> = (0..features.len()).collect();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -216,7 +222,20 @@ impl Classifier {
             gap,
             bias_gap,
             report,
+            fingerprint: OnceLock::new(),
         }
+    }
+
+    /// `digest(&self.to_bytes())`, computed on the first call only.
+    ///
+    /// Serializing and hashing the full weight matrix costs far more
+    /// than the lookups a cache key guards, and a daemon keys every job
+    /// against the same model, so the digest is taken once per model and
+    /// memoized. Later calls return the memo without calling `digest`:
+    /// every caller must pass the same function (the cache crate's
+    /// `classifier_fingerprint` is the one caller).
+    pub fn fingerprint_with(&self, digest: impl FnOnce(&[u8]) -> u64) -> u64 {
+        *self.fingerprint.get_or_init(|| digest(&self.to_bytes()))
     }
 
     /// Raw (pre-softmax) class scores for a feature vector. This is the

@@ -80,16 +80,21 @@ pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
     }
 }
 
-fn hash_feature(parts: &[&str]) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for p in parts {
-        for b in p.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0x1f;
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold one window part into a running FNV-1a state: its bytes, then
+/// the `0x1f` part separator.
+fn fold_part(mut h: u64, part: &str) -> u64 {
+    for b in part.as_bytes() {
+        h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    h ^= 0x1f;
+    h.wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+fn hash_feature(parts: &[&str]) -> usize {
+    let h = parts.iter().fold(FNV_BASIS, |h, p| fold_part(h, p));
     (h as usize) % FEATURE_DIM
 }
 
@@ -132,11 +137,13 @@ pub fn featurize(tokens: &[String]) -> Vec<(usize, f32)> {
 /// array (32 KiB — cache-resident) instead of an ordered map: each bin
 /// is touched at most a handful of times, so a first-touch index list
 /// plus one sort replaces ~5 map probes per token. Every buffer is
-/// reused across calls. Bit-identity with [`featurize`] holds exactly:
-/// per-index counts accumulate in the same encounter order, the norm
-/// sums squares in ascending index order (the sorted touch list stands
-/// in for the map's key order), and the output is emitted ascending —
-/// the identical sequence of float operations, so the output is
+/// reused across calls. Window hashes are chained: one running FNV
+/// state per start position covers all five widths. Bit-identity with
+/// [`featurize`] holds exactly: every count is a sum of 1.0s and 0.5s,
+/// exact in f32 whatever the accumulation order, the norm sums squares
+/// in ascending index order (the sorted touch list stands in for the
+/// map's key order), and the output is emitted ascending — the
+/// identical float operations on identical values, so the output is
 /// bit-equal, not merely close.
 #[derive(Debug, Default)]
 pub(crate) struct Featurizer {
@@ -172,19 +179,19 @@ impl Featurizer {
             }
             self.bins[idx] += w;
         };
-        for i in 0..self.bounds.len() {
-            add(hash_feature(&[token(i)]), 1.0);
-        }
-        for width in 2..=5usize {
-            if self.bounds.len() < width {
-                break;
-            }
-            let mut window = [""; 5];
-            for start in 0..=self.bounds.len() - width {
-                for (k, slot) in window[..width].iter_mut().enumerate() {
-                    *slot = token(start + k);
-                }
-                add(hash_feature(&window[..width]), 0.5);
+        // Windows starting at one token are prefixes of each other, so
+        // one running FNV state per start position yields the unigram
+        // and every wider window in turn: each token is folded once per
+        // start position reaching it (≤ 5 times), not once per window
+        // containing it (15 times). The adds arrive start-major rather
+        // than `featurize`'s width-major order; see the type docs for
+        // why that is exact.
+        let n = self.bounds.len();
+        for start in 0..n {
+            let mut h = FNV_BASIS;
+            for (k, i) in (start..n.min(start + 5)).enumerate() {
+                h = fold_part(h, token(i));
+                add((h as usize) % FEATURE_DIM, if k == 0 { 1.0 } else { 0.5 });
             }
         }
         self.touched.sort_unstable();
@@ -329,6 +336,40 @@ mod tests {
         }
     }
 
+    const LONG_VOCAB: [&str; 16] = [
+        "CALL (Fun, nvram_get)",
+        "(Cons, \"password\")",
+        "get_mac_addr",
+        "serialNumber",
+        "deviceToken",
+        "XMLHttpRequest",
+        "__init__",
+        "v_1357",
+        "mac=%s&sign=%s",
+        "{\"uid\":\"%s\"}",
+        "日本語",
+        "ü_key",
+        "naïveCase",
+        "ACCESS_TOKEN",
+        "0x4012a0",
+        "snprintf",
+    ];
+
+    /// Join vocabulary picks with one of four separators, stopping
+    /// before the text passes 400 bytes.
+    fn long_slice(picks: &[(usize, usize)]) -> String {
+        let mut text = String::new();
+        for &(word, sep) in picks {
+            let sep = [" ", ", ", "_", "→"][sep];
+            if text.len() + LONG_VOCAB[word].len() + sep.len() > 400 {
+                break;
+            }
+            text.push_str(LONG_VOCAB[word]);
+            text.push_str(sep);
+        }
+        text
+    }
+
     proptest::proptest! {
         #[test]
         fn streaming_tokenizer_matches_reference(
@@ -343,6 +384,25 @@ mod tests {
         ) {
             let mut f = Featurizer::default();
             proptest::prop_assert_eq!(f.features(&text), featurize(&tokenize(&text)));
+        }
+
+        /// Long slices (well past the 5-token window) over slice-like
+        /// vocabulary, `_`/camelCase compounds and multi-byte UTF-8:
+        /// the chained window hashing stays bit-identical to the
+        /// reference, across one reused featurizer.
+        #[test]
+        fn chained_featurizer_matches_reference_on_long_slices(
+            picks in proptest::collection::vec((0..LONG_VOCAB.len(), 0..4usize), 6..40),
+        ) {
+            let text = long_slice(&picks);
+            if tokenize(&text).len() <= 5 {
+                // Mostly non-ASCII picks: too short to exercise chaining.
+                return Ok(());
+            }
+            let mut f = Featurizer::default();
+            let reference = featurize(&tokenize(&text));
+            proptest::prop_assert_eq!(f.features(&text), reference.clone());
+            proptest::prop_assert_eq!(f.features(&text), reference);
         }
     }
 }

@@ -48,7 +48,7 @@ use firmres::{
     analyze_firmware_cancellable, analyze_packed, AnalysisConfig, CancelToken, Error, FnObserver,
     NullObserver, Observer,
 };
-use firmres_cache::codec::put_analysis;
+use firmres_cache::codec::{get_analysis, put_analysis, Reader};
 use firmres_cache::{AnalysisCache, CacheKey, StorePolicy};
 use firmres_firmware::FirmwareImage;
 use firmres_semantics::Classifier;
@@ -57,7 +57,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -150,7 +150,8 @@ struct ServiceCounters {
 // ---- connection handles --------------------------------------------------
 
 /// Wake-up latch for one io shard: senders set the flag and notify, the
-/// shard consumes it (or times out) between sweeps.
+/// shard consumes it (or times out) between sweeps. A poisoned flag is
+/// recovered: a bool is valid whatever the panicking holder did.
 #[derive(Default)]
 struct ShardWake {
     flag: Mutex<bool>,
@@ -159,15 +160,19 @@ struct ShardWake {
 
 impl ShardWake {
     fn wake(&self) {
-        let mut flag = self.flag.lock().expect("wake lock");
+        let mut flag = self.flag.lock().unwrap_or_else(PoisonError::into_inner);
         *flag = true;
         self.cv.notify_one();
     }
 
     fn park(&self, timeout: Duration) {
-        let mut flag = self.flag.lock().expect("wake lock");
+        let mut flag = self.flag.lock().unwrap_or_else(PoisonError::into_inner);
         if !*flag {
-            flag = self.cv.wait_timeout(flag, timeout).expect("wake lock").0;
+            flag = self
+                .cv
+                .wait_timeout(flag, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         *flag = false;
     }
@@ -233,6 +238,11 @@ struct Job {
 
 /// The queue proper plus the worker-liveness accounting that must sit
 /// under the same lock for the drain wait to be race-free.
+///
+/// Every critical section leaves this consistent at each step (a push,
+/// a pop, a counter step, a flag), so a lock poisoned by a panicking
+/// holder is recovered with `PoisonError::into_inner` instead of
+/// failing every later request.
 #[derive(Default)]
 struct QueueState {
     queue: VecDeque<Job>,
@@ -267,7 +277,7 @@ impl Shared {
             .as_ref()
             .map(|c| c.class_cache_stats())
             .unwrap_or_default();
-        let qs = self.qs.lock().expect("queue lock");
+        let qs = self.qs.lock().unwrap_or_else(PoisonError::into_inner);
         ServiceStatus {
             queue_depth: qs.queue.len() as u32,
             queue_cap: self.cfg.queue_cap as u32,
@@ -385,7 +395,11 @@ impl Server {
         // Shutdown: release the workers, then the shards (they flush
         // what is queued, bounded by FINAL_FLUSH, and exit).
         {
-            let mut qs = self.shared.qs.lock().expect("queue lock");
+            let mut qs = self
+                .shared
+                .qs
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             qs.stop = true;
             self.shared.work_cv.notify_all();
         }
@@ -407,7 +421,7 @@ impl Server {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut qs = shared.qs.lock().expect("queue lock");
+            let mut qs = shared.qs.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if qs.stop {
                     return;
@@ -416,11 +430,14 @@ fn worker_loop(shared: &Shared) {
                     qs.running += 1;
                     break job;
                 }
-                qs = shared.work_cv.wait(qs).expect("queue lock");
+                qs = shared
+                    .work_cv
+                    .wait(qs)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         run_job(shared, job);
-        let mut qs = shared.qs.lock().expect("queue lock");
+        let mut qs = shared.qs.lock().unwrap_or_else(PoisonError::into_inner);
         qs.running -= 1;
         if qs.queue.is_empty() && qs.running == 0 {
             shared.idle_cv.notify_all();
@@ -435,14 +452,22 @@ fn run_job(shared: &Shared, mut job: Job) {
         .insert(job.id, job.token.clone());
 
     // Overlay the server's known-library index onto the client-supplied
-    // config before anything keys or runs: the cache key and the
-    // pipeline must see the same effective configuration.
+    // config before the job runs, so the pipeline and the store key
+    // written below see the same effective configuration. The lookup in
+    // `handle_submit` happens earlier and keys the config as submitted,
+    // without the overlay: with `lib_index` set, that key never matches
+    // the stored one, so by-hash repeats are rejected as `UnknownImage`
+    // and by-bytes repeats re-run through the unit funnel (a known
+    // limitation, see OPERATIONS.md).
     if let Some(index) = &shared.cfg.lib_index {
         job.config.taint.libid = firmres_dataflow::LibId::On;
         job.config.taint.lib_index = Some(Arc::clone(index));
     }
 
     let classifier = shared.classifier.as_ref();
+    // The analysis, plus its `put_analysis` encoding when the unit
+    // funnel already produced it: those bytes are the reply payload and
+    // the store's analysis section as they stand.
     let outcome = match FirmwareImage::unpack(&job.packed) {
         Ok(fw) => {
             let reply = job.reply.clone();
@@ -477,13 +502,14 @@ fn run_job(shared: &Shared, mut job: Job) {
                         .fetch_add(out.stats.unit_hits, Ordering::Relaxed);
                     c.unit_misses
                         .fetch_add(out.stats.unit_misses, Ordering::Relaxed);
-                    firmres_cache::codec::get_analysis(&mut firmres_cache::codec::Reader::new(
-                        &out.bytes,
-                    ))
-                    .ok()
+                    // Decoded once for the counters, handlers and
+                    // taint summaries; the bytes themselves are reused.
+                    get_analysis(&mut Reader::new(&out.bytes))
+                        .ok()
+                        .map(|analysis| (analysis, Some(out.bytes)))
                 })
                 .and_then(|decoded| match decoded {
-                    Some(analysis) => Ok(analysis),
+                    Some(pair) => Ok(pair),
                     // Funnel bytes always decode; re-run defensively.
                     None => analyze_firmware_cancellable(
                         &fw,
@@ -492,7 +518,8 @@ fn run_job(shared: &Shared, mut job: Job) {
                         shared.cfg.unit_jobs,
                         &mut NullObserver,
                         &job.token,
-                    ),
+                    )
+                    .map(|analysis| (analysis, None)),
                 }),
                 None => analyze_firmware_cancellable(
                     &fw,
@@ -501,18 +528,19 @@ fn run_job(shared: &Shared, mut job: Job) {
                     shared.cfg.unit_jobs,
                     observer,
                     &job.token,
-                ),
+                )
+                .map(|analysis| (analysis, None)),
             }
         }
         // An unpackable image degrades exactly as the local pipeline
         // does: a stub analysis carrying an Input diagnostic.
-        Err(_) => Ok(analyze_packed(&job.packed, classifier, &job.config)),
+        Err(_) => Ok((analyze_packed(&job.packed, classifier, &job.config), None)),
     };
 
     shared.running_tokens.lock().remove(&job.id);
 
     match outcome {
-        Ok(analysis) => {
+        Ok((analysis, encoded)) => {
             let c = &shared.counters;
             c.lib_fns_matched
                 .fetch_add(analysis.counters.lib_fns_matched, Ordering::Relaxed);
@@ -520,14 +548,17 @@ fn run_job(shared: &Shared, mut job: Job) {
                 .fetch_add(analysis.counters.lib_traversals_skipped, Ordering::Relaxed);
             c.lib_summary_applies
                 .fetch_add(analysis.counters.lib_summary_applies, Ordering::Relaxed);
+            let payload = encoded.unwrap_or_else(|| {
+                let mut payload = Vec::new();
+                put_analysis(&mut payload, &analysis);
+                payload
+            });
             if let Some(cache) = &shared.cache {
                 let key = CacheKey::of_packed(&job.packed, classifier, &job.config);
                 // A full store or unwritable directory degrades the
                 // cache, not the response.
-                let _ = cache.store(&key, &analysis);
+                let _ = cache.store_encoded(&key, &analysis, &payload);
             }
-            let mut payload = Vec::new();
-            put_analysis(&mut payload, &analysis);
             shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
             shared.counters.jobs_served.fetch_add(1, Ordering::Relaxed);
             send(
@@ -931,7 +962,7 @@ fn handle_submit(
         return shared.reject(tx, RejectReason::InFlightCap { cap });
     }
 
-    let mut qs = shared.qs.lock().expect("queue lock");
+    let mut qs = shared.qs.lock().unwrap_or_else(PoisonError::into_inner);
     if qs.queue.len() >= shared.cfg.queue_cap {
         let depth = qs.queue.len() as u32;
         drop(qs);
@@ -993,7 +1024,7 @@ fn handle_cancel(shared: &Shared, tx: &ConnHandle, job_id: u64) {
     // the idle condvar fires, so a drain blocked on this job cannot
     // slip its DrainOk ahead of the job's terminal frame.
     let queued = {
-        let mut qs = shared.qs.lock().expect("queue lock");
+        let mut qs = shared.qs.lock().unwrap_or_else(PoisonError::into_inner);
         let mut removed = None;
         qs.queue.retain(|job| {
             if job.id == job_id {
@@ -1053,9 +1084,12 @@ fn handle_cancel(shared: &Shared, tx: &ConnHandle, job_id: u64) {
 fn handle_drain(shared: &Shared, tx: &ConnHandle) {
     shared.draining.store(true, Ordering::Release);
     {
-        let mut qs = shared.qs.lock().expect("queue lock");
+        let mut qs = shared.qs.lock().unwrap_or_else(PoisonError::into_inner);
         while !(qs.queue.is_empty() && qs.running == 0) {
-            qs = shared.idle_cv.wait(qs).expect("queue lock");
+            qs = shared
+                .idle_cv
+                .wait(qs)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         qs.stop = true;
         shared.work_cv.notify_all();
@@ -1094,5 +1128,31 @@ mod tests {
         assert_eq!(status.jobs_served, 0);
         assert!(!status.draining);
         assert!(server.local_addr().expect("addr").port() > 0);
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_does_not_wedge_the_daemon() {
+        let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let shared = Arc::clone(&server.shared);
+        let poisoner = Arc::clone(&shared);
+        let panicked = thread::spawn(move || {
+            let _qs = poisoner.qs.lock().unwrap();
+            panic!("poison the queue lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shared.qs.is_poisoned());
+
+        // The in-process snapshot still answers...
+        assert_eq!(shared.status().queue_depth, 0);
+        // ...and so does a live daemon: workers start, status answers
+        // over the wire and a drain completes and shuts the server down.
+        let runner = thread::spawn(move || server.run());
+        let mut client = crate::Client::connect(addr).expect("connect");
+        assert_eq!(client.status().expect("status").inflight, 0);
+        assert_eq!(client.drain().expect("drain"), 0);
+        let final_status = runner.join().expect("server thread");
+        assert!(final_status.draining);
     }
 }

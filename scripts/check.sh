@@ -17,6 +17,12 @@ echo "==> benchmark build (perfbench against the current crate APIs)"
 # UnitClassifier::with_cache, run_message_unit, slices_for_tree, ...).
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> benchmark tests (replay == pipeline, daemon payload checks)"
+# perfbench's own suite: its per-layer replay must reproduce the
+# pipeline's reports and the daemon workload's payloads must match a
+# local encode — a crate change that breaks either fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -1363,6 +1363,23 @@ mod tests {
         assert!(run(&s(&["disasm", &path, "/etc/nvram.default"])).is_err());
     }
 
+    /// The `train` recipe (20 corpus devices, seed 7) is deterministic,
+    /// so its model's cache fingerprint is a constant. Pinning it shows
+    /// that training's featurizer produces exactly the features — and
+    /// therefore exactly the weights — it always has.
+    #[test]
+    fn train_recipe_model_fingerprint_is_pinned() {
+        let model_path = temp("recipe.fsm");
+        let msg = run(&s(&["train", &model_path])).unwrap();
+        assert!(msg.contains("from 20 devices"), "{msg}");
+        let bytes = std::fs::read(&model_path).unwrap();
+        let model = firmres_semantics::Classifier::from_bytes(&bytes).unwrap();
+        assert_eq!(
+            firmres_cache::classifier_fingerprint(Some(&model)),
+            0x40bb_cc50_1791_472b
+        );
+    }
+
     #[test]
     fn train_and_analyze_with_model() {
         let model_path = temp("model.fsm");

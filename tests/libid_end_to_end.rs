@@ -20,20 +20,27 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Build the roster index exactly as `libid build` does.
+/// Build the roster index exactly as `libid build` does. Built once per
+/// test process: the tests run on parallel threads, and each building
+/// its own copy in the shared fixture directory let one test delete the
+/// files another was still writing.
 fn roster_index() -> Arc<LibIndex> {
-    let dir = temp_dir("fixtures");
-    std::fs::create_dir_all(&dir).unwrap();
-    for k in 0..firmres_corpus::ROSTER.len() {
-        std::fs::write(
-            dir.join(firmres_corpus::library_fixture_file(k)),
-            firmres_corpus::library_fixture_source(k),
-        )
-        .unwrap();
-    }
-    let (index, _) = firmres_libid::build_index_from_dir(&dir).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    Arc::new(index)
+    static INDEX: std::sync::OnceLock<Arc<LibIndex>> = std::sync::OnceLock::new();
+    let index = INDEX.get_or_init(|| {
+        let dir = temp_dir("fixtures");
+        std::fs::create_dir_all(&dir).unwrap();
+        for k in 0..firmres_corpus::ROSTER.len() {
+            std::fs::write(
+                dir.join(firmres_corpus::library_fixture_file(k)),
+                firmres_corpus::library_fixture_source(k),
+            )
+            .unwrap();
+        }
+        let (index, _) = firmres_libid::build_index_from_dir(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        Arc::new(index)
+    });
+    Arc::clone(index)
 }
 
 fn on_config(index: &Arc<LibIndex>) -> AnalysisConfig {

@@ -357,3 +357,88 @@ fn drain_waits_for_the_queue_and_refuses_new_submissions() {
     assert!(final_status.draining);
     assert_eq!(final_status.queue_depth, 0);
 }
+
+/// A daemon with a trained model and a known-library index: the payload
+/// it ships is exactly the local codec's encoding of the analysis it
+/// carries (the daemon sends the unit funnel's bytes without
+/// re-encoding), for the cold submit and for a by-bytes resubmit, and
+/// both match a local run under the same model and index.
+#[test]
+fn model_and_index_payloads_are_the_local_encoding() {
+    use firmres_dataflow::LibId;
+    use std::sync::Arc;
+
+    let devices = [4u8, 12].map(|id| firmres_corpus::generate_device(id, 7));
+    let analyses: Vec<_> = devices
+        .iter()
+        .map(|d| {
+            (
+                d,
+                analyze_firmware(&d.firmware, None, &AnalysisConfig::default()),
+            )
+        })
+        .collect();
+    let (model, _, _) =
+        firmres_bench::train_semantics_model(&firmres_bench::build_slice_dataset(&analyses), 7);
+
+    // The roster index, built exactly as `libid build` does.
+    let fixtures = temp_dir("model-index-fixtures");
+    std::fs::create_dir_all(&fixtures).unwrap();
+    for k in 0..firmres_corpus::ROSTER.len() {
+        std::fs::write(
+            fixtures.join(firmres_corpus::library_fixture_file(k)),
+            firmres_corpus::library_fixture_source(k),
+        )
+        .unwrap();
+    }
+    let index = Arc::new(firmres_libid::build_index_from_dir(&fixtures).unwrap().0);
+    let _ = std::fs::remove_dir_all(&fixtures);
+
+    let dev = (0..16)
+        .map(|i| firmres_corpus::synth_device_with_libraries(i, 7))
+        .find(|d| !d.spec.linked_libraries.is_empty())
+        .expect("a device in the first 16 links a library");
+    let fw = firmres_firmware::FirmwareImage::unpack(&dev.packed).unwrap();
+    let mut indexed = AnalysisConfig::default();
+    indexed.taint.libid = LibId::On;
+    indexed.taint.lib_index = Some(Arc::clone(&index));
+    let local = canonical(analyze_firmware(&fw, Some(&model), &indexed));
+
+    let dir = temp_dir("model-index");
+    let (addr, handle) = spawn(ServerConfig {
+        workers: 1,
+        cache_dir: Some(dir.clone()),
+        classifier: Some(model),
+        lib_index: Some(index),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(addr).expect("connect");
+    for pass in ["cold", "resubmit"] {
+        let served = client
+            .submit(
+                SubmitImage::Bytes(dev.packed.clone()),
+                &AnalysisConfig::default(),
+                false,
+                0,
+            )
+            .expect("submit");
+        let mut encoded = Vec::new();
+        put_analysis(&mut encoded, &served.analysis);
+        assert_eq!(
+            served.payload, encoded,
+            "{pass}: payload is the local encoding"
+        );
+        assert!(
+            served.analysis.counters.lib_fns_matched > 0,
+            "{pass}: index in use"
+        );
+        assert_eq!(
+            canonical(served.analysis),
+            local,
+            "{pass}: matches a local run"
+        );
+    }
+    client.drain().expect("drain");
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}
