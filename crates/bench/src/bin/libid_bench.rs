@@ -21,7 +21,7 @@
 //! below `min-speedup` (no floor is enforced when the argument is
 //! omitted; `scripts/check.sh` passes the 1.3× acceptance floor).
 
-use firmres::{analyze_firmware, AnalysisConfig, FirmwareAnalysis, StageTimings};
+use firmres::{analyze_firmware, AnalysisConfig, Counter, FirmwareAnalysis, StageTimings};
 use firmres_cache::codec;
 use firmres_corpus::{synth_corpus_with_libraries, SynthConfig};
 use firmres_dataflow::{LibId, LibIndex};
@@ -36,9 +36,9 @@ fn canonical_bytes(mut analysis: FirmwareAnalysis) -> Vec<u8> {
     // The three libid counters meter the replay engine itself, so they
     // are nonzero only in the On sweep by construction; every other
     // counter and every analysis section must still match bit for bit.
-    analysis.counters.lib_fns_matched = 0;
-    analysis.counters.lib_traversals_skipped = 0;
-    analysis.counters.lib_summary_applies = 0;
+    analysis.counters[Counter::LibFnsMatched] = 0;
+    analysis.counters[Counter::LibTraversalsSkipped] = 0;
+    analysis.counters[Counter::LibSummaryApplies] = 0;
     let mut out = Vec::new();
     codec::put_analysis(&mut out, &analysis);
     out

@@ -837,50 +837,20 @@ fn get_timings(r: &mut Reader) -> Result<StageTimings, DecodeError> {
     })
 }
 
+/// The fixed counter block: one `u64` per [`Counter`], in
+/// [`Counter::ALL`] order.
 fn put_counters(out: &mut Vec<u8>, c: &StageCounters) {
-    for v in [
-        c.executables_tried,
-        c.parse_failures,
-        c.lift_failures,
-        c.taint_queries,
-        c.taint_cache_hits,
-        c.slices_rendered,
-        c.fields_matched,
-        c.cache_hits,
-        c.cache_misses,
-        c.cache_bytes_read,
-        c.cache_bytes_written,
-        c.lib_fns_matched,
-        c.lib_traversals_skipped,
-        c.lib_summary_applies,
-        c.slices_batched,
-        c.prefilter_skips,
-        c.class_cache_hits,
-    ] {
-        out.put_u64_le(v);
+    for counter in Counter::ALL {
+        out.put_u64_le(c[counter]);
     }
 }
 
 fn get_counters(r: &mut Reader) -> Result<StageCounters, DecodeError> {
-    Ok(StageCounters {
-        executables_tried: r.u64()?,
-        parse_failures: r.u64()?,
-        lift_failures: r.u64()?,
-        taint_queries: r.u64()?,
-        taint_cache_hits: r.u64()?,
-        slices_rendered: r.u64()?,
-        fields_matched: r.u64()?,
-        cache_hits: r.u64()?,
-        cache_misses: r.u64()?,
-        cache_bytes_read: r.u64()?,
-        cache_bytes_written: r.u64()?,
-        lib_fns_matched: r.u64()?,
-        lib_traversals_skipped: r.u64()?,
-        lib_summary_applies: r.u64()?,
-        slices_batched: r.u64()?,
-        prefilter_skips: r.u64()?,
-        class_cache_hits: r.u64()?,
-    })
+    let mut c = StageCounters::default();
+    for counter in Counter::ALL {
+        c[counter] = r.u64()?;
+    }
+    Ok(c)
 }
 
 /// Encode one [`Diagnostic`].
@@ -938,53 +908,11 @@ pub fn put_analysis_spliced(
 
 // ---- buffered events ----------------------------------------------------
 
-fn put_counter_tag(out: &mut Vec<u8>, c: Counter) {
-    // Local exhaustive tags: a new Counter variant fails this match.
-    out.put_u8(match c {
-        Counter::ExecutablesTried => 0,
-        Counter::ParseFailures => 1,
-        Counter::LiftFailures => 2,
-        Counter::TaintQueries => 3,
-        Counter::TaintCacheHits => 4,
-        Counter::SlicesRendered => 5,
-        Counter::FieldsMatched => 6,
-        Counter::CacheHits => 7,
-        Counter::CacheMisses => 8,
-        Counter::CacheBytesRead => 9,
-        Counter::CacheBytesWritten => 10,
-        Counter::LibFnsMatched => 11,
-        Counter::LibTraversalsSkipped => 12,
-        Counter::LibSummaryApplies => 13,
-        Counter::SlicesBatched => 14,
-        Counter::PrefilterSkips => 15,
-        Counter::ClassCacheHits => 16,
-    });
-}
-
-fn get_counter_tag(r: &mut Reader) -> Result<Counter, DecodeError> {
-    Ok(match r.u8()? {
-        0 => Counter::ExecutablesTried,
-        1 => Counter::ParseFailures,
-        2 => Counter::LiftFailures,
-        3 => Counter::TaintQueries,
-        4 => Counter::TaintCacheHits,
-        5 => Counter::SlicesRendered,
-        6 => Counter::FieldsMatched,
-        7 => Counter::CacheHits,
-        8 => Counter::CacheMisses,
-        9 => Counter::CacheBytesRead,
-        10 => Counter::CacheBytesWritten,
-        11 => Counter::LibFnsMatched,
-        12 => Counter::LibTraversalsSkipped,
-        13 => Counter::LibSummaryApplies,
-        14 => Counter::SlicesBatched,
-        15 => Counter::PrefilterSkips,
-        16 => Counter::ClassCacheHits,
-        _ => return err("invalid Counter tag"),
-    })
-}
-
 /// Encode one buffered pipeline [`Event`].
+///
+/// These bytes are also the body of the service wire protocol's streamed
+/// `Event` frame, so a change here needs a `PROTOCOL_VERSION` bump as
+/// well as a `SCHEMA_VERSION` one.
 pub fn put_event(out: &mut Vec<u8>, e: &Event) {
     match e {
         Event::StageStarted(stage) => {
@@ -998,7 +926,7 @@ pub fn put_event(out: &mut Vec<u8>, e: &Event) {
         }
         Event::Count(counter, n) => {
             out.put_u8(2);
-            put_counter_tag(out, *counter);
+            out.put_u8(counter.tag());
             out.put_u64_le(*n);
         }
         Event::Diagnostic(d) => {
@@ -1013,7 +941,10 @@ pub fn get_event(r: &mut Reader) -> Result<Event, DecodeError> {
     Ok(match r.u8()? {
         0 => Event::StageStarted(get_stage_kind(r)?),
         1 => Event::StageFinished(get_stage_kind(r)?, Duration::from_nanos(r.u64()?)),
-        2 => Event::Count(get_counter_tag(r)?, r.u64()?),
+        2 => match Counter::from_tag(r.u8()?) {
+            Some(counter) => Event::Count(counter, r.u64()?),
+            None => return err("invalid Counter tag"),
+        },
         3 => Event::Diagnostic(get_diagnostic(r)?),
         _ => return err("invalid Event tag"),
     })

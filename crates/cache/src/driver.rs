@@ -307,7 +307,7 @@ mod tests {
         assert_eq!(cold.stats.hits, 0);
         assert_eq!(cold.stats.misses, images.len() as u64);
         assert!(cold.stats.bytes_written > 0);
-        assert_eq!(obs.counters.cache_misses, images.len() as u64);
+        assert_eq!(obs.counters[Counter::CacheMisses], images.len() as u64);
 
         let mut obs = CollectingObserver::default();
         let warm = analyze_corpus_incremental(&images, None, &config, 2, &cache, &mut obs);
@@ -315,7 +315,7 @@ mod tests {
         assert_eq!(warm.stats.hits, images.len() as u64);
         assert_eq!(warm.stats.hit_rate(), 1.0);
         assert!(warm.stats.bytes_read > 0);
-        assert_eq!(obs.counters.cache_hits, images.len() as u64);
+        assert_eq!(obs.counters[Counter::CacheHits], images.len() as u64);
         for (a, b) in cold.analyses.iter().zip(&warm.analyses) {
             assert_eq!(a.executable, b.executable);
             assert_eq!(a.counters, b.counters);

@@ -39,7 +39,7 @@ use crate::codec::{
 use crate::key::CacheKey;
 use crate::policy::{self, Evictor, GcOutcome, ShardOccupancy, StorePolicy};
 use bytes::BufMut;
-use firmres::{FirmwareAnalysis, HandlerInfo};
+use firmres::{Counter, FirmwareAnalysis, HandlerInfo};
 use firmres_dataflow::TaintSummary;
 use firmres_firmware::content_hash_packed;
 use firmres_mft::MftNodeKind;
@@ -713,9 +713,9 @@ impl AnalysisCache {
                     continue;
                 };
                 let c = &cached.analysis.counters;
-                usage.fns_matched += c.lib_fns_matched;
-                usage.traversals_skipped += c.lib_traversals_skipped;
-                usage.summary_applies += c.lib_summary_applies;
+                usage.fns_matched += c[Counter::LibFnsMatched];
+                usage.traversals_skipped += c[Counter::LibTraversalsSkipped];
+                usage.summary_applies += c[Counter::LibSummaryApplies];
             }
         }
         usage

@@ -73,8 +73,9 @@ use crate::codec::{
 use crate::key::{classifier_fingerprint, config_fingerprint, PIPELINE_VERSION};
 use crate::store::AnalysisCache;
 use firmres::stages::{
-    enumerate_units, merge_unit_event_streams, probe_executable, run_message_unit, AnalysisContext,
-    ChosenExecutable, MessageUnit, TraceKey, UnitClassifier, UnitView,
+    best_handler_score, enumerate_units, merge_unit_event_streams, probe_executable,
+    rank_candidates, run_message_unit, AnalysisContext, ChosenExecutable, MessageUnit, TraceKey,
+    UnitClassifier, UnitView,
 };
 use firmres::{
     AnalysisConfig, CancelToken, Counter, Diagnostic, Error, Event, HandlerInfo, Observer,
@@ -459,12 +460,6 @@ struct Candidate {
     program: Option<Program>,
 }
 
-impl Candidate {
-    fn best_score(&self) -> f64 {
-        self.handlers.iter().fold(0.0, |m, h| m.max(h.score))
-    }
-}
-
 /// Analyze one image through the unit-granular artifact store, returning
 /// the complete encoded analysis plus reuse statistics.
 ///
@@ -492,15 +487,8 @@ pub fn analyze_image_units_incremental(
     observer: &mut dyn Observer,
     cancel: Option<&CancelToken>,
 ) -> Result<UnitFunnelOutcome, Error> {
-    let cancelled = |c: &CancelToken| Error::Cancelled {
-        deadline_exceeded: c.deadline_exceeded(),
-    };
-    let is_cancelled = |c: Option<&CancelToken>| c.is_some_and(|c| c.is_cancelled());
-    if let Some(c) = cancel {
-        if c.is_cancelled() {
-            return Err(cancelled(c));
-        }
-    }
+    let poll = || cancel.map_or(Ok(()), CancelToken::check);
+    poll()?;
 
     let mut stats = UnitStats::default();
     // Cache diagnostics are buffered and delivered to the observer after
@@ -560,7 +548,8 @@ pub fn analyze_image_units_incremental(
                 }
                 None => {
                     let mut events = StageEvents::default();
-                    let probed = probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
+                    let probed =
+                        probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
                     let verdict = Verdict {
                         events,
                         qualified: probed.is_some(),
@@ -592,30 +581,9 @@ pub fn analyze_image_units_incremental(
                 }
             }
         }
-        let mut best = 0usize;
-        for (i, c) in candidates.iter().enumerate().skip(1) {
-            if c.best_score() > candidates[best].best_score() {
-                best = i;
-            }
-        }
-        if candidates.len() > 1 {
-            let winner = candidates[best].path.clone();
-            let winner_score = candidates[best].best_score();
-            for (i, c) in candidates.iter().enumerate() {
-                if i != best {
-                    cx.diagnose(Diagnostic::new(
-                        StageKind::ExeId,
-                        Severity::Info,
-                        &c.path,
-                        format!(
-                            "device-cloud candidate (best P_f {:.2}) outscored by {winner} (best P_f {winner_score:.2})",
-                            c.best_score()
-                        ),
-                    ));
-                }
-            }
-        }
-        candidates.into_iter().nth(best)
+        rank_candidates(cx, candidates, |c| {
+            (&c.path, best_handler_score(&c.handlers))
+        })
     });
 
     let flush_diags = |observer: &mut dyn Observer, diags: &[Diagnostic], stats: &UnitStats| {
@@ -637,9 +605,7 @@ pub fn analyze_image_units_incremental(
         flush_diags(observer, &cache_diags, &stats);
         return Ok(UnitFunnelOutcome { bytes, stats });
     };
-    if is_cancelled(cancel) {
-        return Err(cancelled(cancel.expect("is_cancelled implies Some")));
-    }
+    poll()?;
 
     // Materialize the winner's program. A verdict-hit winner is only now
     // parsed and lifted — identification is skipped entirely, its result
@@ -737,9 +703,7 @@ pub fn analyze_image_units_incremental(
         cache.class_cache(classifier_fp),
     );
     let fresh = firmres::run_pool(dirty.len(), jobs, |j| {
-        if is_cancelled(cancel) {
-            return None;
-        }
+        poll().ok()?;
         Some(run_message_unit(
             &engine,
             &renderer,
@@ -747,13 +711,15 @@ pub fn analyze_image_units_incremental(
             &units[dirty[j]],
         ))
     });
-    if is_cancelled(cancel) || fresh.iter().any(Option::is_none) {
-        return Err(cancelled(cancel.expect("only a token cancels the pool")));
-    }
+    poll()?;
+    let fresh: Vec<_> = fresh
+        .into_iter()
+        .collect::<Option<_>>()
+        .expect("a token never un-trips, so a passing poll means no unit was skipped");
 
     // Fold fresh outputs into the plan, footprinting each from the taint
     // engine's recorded trace dependencies.
-    for (&i, output) in dirty.iter().zip(fresh.into_iter().flatten()) {
+    for (&i, output) in dirty.iter().zip(fresh) {
         let unit = &units[i];
         let mut deps = TraceDeps::default();
         deps.funcs.insert(unit.function);

@@ -1,19 +1,20 @@
 //! Cooperative cancellation for long-running analyses.
 //!
 //! A [`CancelToken`] is a cheaply clonable flag (plus an optional
-//! deadline) that the cancellable pipeline driver
-//! ([`crate::analyze_firmware_cancellable`]) polls at its natural safe
-//! points: before stage 1 and at every message-unit boundary. Analysis
-//! work is never interrupted *inside* a unit — a unit is the smallest
-//! schedulable quantum — so cancellation latency is bounded by the cost
-//! of one unit, and a run that is *not* cancelled is byte-identical to
-//! an uncancellable one.
+//! deadline) that the pipeline driver
+//! ([`crate::analyze_firmware_cancellable`]) and the store's unit funnel
+//! poll at their natural safe points: before stage 1 and at every
+//! message-unit boundary. Analysis work is never interrupted *inside*
+//! a unit — a unit is the smallest schedulable quantum — so cancellation
+//! latency is bounded by the cost of one unit, and a run that is *not*
+//! cancelled is byte-identical to an uncancellable one.
 //!
 //! The token is the serving layer's per-request control surface: the
 //! `firmres-service` daemon hands every submitted job its own token,
 //! trips it on an explicit `Cancel` request, and uses the deadline form
 //! for per-request time budgets.
 
+use crate::error::Error;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -58,6 +59,18 @@ impl CancelToken {
             Some(d) => Instant::now() >= d,
             None => false,
         }
+    }
+
+    /// `Err(`[`Error::Cancelled`]`)` once the token is cancelled: the
+    /// check a driver makes at each of its safe points. A token never
+    /// un-trips, so once this fails it keeps failing.
+    pub fn check(&self) -> Result<(), Error> {
+        if self.is_cancelled() {
+            return Err(Error::Cancelled {
+                deadline_exceeded: self.deadline_exceeded(),
+            });
+        }
+        Ok(())
     }
 
     /// Whether the token reports cancelled *because of the deadline*

@@ -18,12 +18,13 @@
 //!    checks against the primitive compositions, hard-coded Dev-Secret
 //!    tracking, and probing of the (simulated) vendor cloud.
 //!
-//! The pipeline is *staged* ([`stages`]): each step above is a typed
-//! stage over a shared [`stages::AnalysisContext`] that accumulates
+//! The pipeline is *staged* ([`stages`]): each step above is a stage
+//! over a shared [`stages::AnalysisContext`] that accumulates
 //! per-stage timings, work counters ([`StageCounters`]) and structured,
 //! severity-tagged [`Diagnostic`]s, all streamed to a caller-supplied
 //! [`Observer`]. The one-call entry point is [`analyze_firmware`]; see
-//! also [`try_analyze_firmware`] for a fallible variant, [`analyze_packed`]
+//! also [`analyze_firmware_cancellable`] for an observed, cancellable run,
+//! [`try_analyze_firmware`] for a fallible variant, [`analyze_packed`]
 //! for packed containers, and [`analyze_corpus`] for parallel sweeps.
 //!
 //! # Examples
@@ -60,8 +61,8 @@ pub use observe::{
     StageEvents,
 };
 pub use pipeline::{
-    analyze_firmware, analyze_firmware_cancellable, analyze_firmware_jobs, analyze_firmware_with,
-    analyze_firmware_with_jobs, analyze_packed, try_analyze_firmware, try_analyze_packed,
-    AnalysisConfig, FirmwareAnalysis, MessageRecord, StageTimings,
+    analyze_firmware, analyze_firmware_cancellable, analyze_firmware_jobs, analyze_packed,
+    try_analyze_firmware, try_analyze_packed, AnalysisConfig, FirmwareAnalysis, MessageRecord,
+    StageTimings,
 };
 pub use probe::{extract_endpoint, fill_message, probe_cloud, render_body, FilledMessage};

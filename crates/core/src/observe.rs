@@ -6,8 +6,9 @@
 //! [`Diagnostic`]s — through a caller-supplied [`Observer`] instead of
 //! ad-hoc inline timing. [`analyze_firmware`] uses [`NullObserver`];
 //! callers that want live progress or telemetry pass their own
-//! implementation to [`analyze_firmware_with`]. The analysis result
-//! always carries the accumulated [`StageTimings`], [`StageCounters`]
+//! implementation to [`analyze_firmware_cancellable`] (with a fresh,
+//! never-tripped [`CancelToken`] when they need no cancellation). The
+//! analysis result always carries the accumulated [`StageTimings`], [`StageCounters`]
 //! and diagnostics regardless of the observer.
 //!
 //! The `Observer` trait itself is a single-threaded adapter (`&mut
@@ -19,142 +20,132 @@
 //! [`crate::stages`]).
 //!
 //! [`analyze_firmware`]: crate::analyze_firmware
-//! [`analyze_firmware_with`]: crate::analyze_firmware_with
+//! [`analyze_firmware_cancellable`]: crate::analyze_firmware_cancellable
+//! [`CancelToken`]: crate::CancelToken
 //! [`StageTimings`]: crate::StageTimings
 
 use crate::error::{Diagnostic, StageKind};
+use std::ops::{Index, IndexMut};
 use std::time::Duration;
 
-/// Which [`StageCounters`] field an event increments.
+/// One per-analysis work counter: an index into [`StageCounters`].
+///
+/// [`Counter::ALL`] lists every counter in declaration order. That order
+/// is also each counter's [`tag`](Counter::tag) in encoded events and the
+/// order of the fixed counter block in encoded analyses, so a new
+/// counter is one variant appended here and in `ALL` — plus the cache's
+/// `SCHEMA_VERSION` and the wire's `PROTOCOL_VERSION` bumps, because the
+/// encoded counter block widens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
-    /// Executable entries attempted during pinpointing.
+    /// Executable entries attempted during pinpointing (stage 1).
     ExecutablesTried,
-    /// Executables that failed MRE parsing.
+    /// Executables that failed MRE parsing (stage 1).
     ParseFailures,
-    /// Executables that parsed but failed to lift to IR.
+    /// Executables that parsed but failed to lift to IR (stage 1).
     LiftFailures,
-    /// Backward-taint queries issued (payload, endpoint and host traces).
+    /// Backward-taint queries issued: payload, endpoint and host traces
+    /// (stage 2).
     TaintQueries,
-    /// Taint queries answered from the engine's memo cache.
+    /// Taint queries answered from the engine's memo cache (stage 2).
     TaintCacheHits,
-    /// Enriched code slices rendered for classification.
+    /// Enriched code slices rendered for classification (stage 3).
     SlicesRendered,
-    /// Message fields matched to a recovered semantic primitive.
+    /// Message fields matched to a recovered semantic primitive (stage 4).
     FieldsMatched,
-    /// Analysis-cache lookups answered from the store (the whole
-    /// pipeline was skipped).
+    /// Analysis-cache lookups answered from the store (corpus drivers;
+    /// always 0 inside one pipeline run — cached results skip the
+    /// pipeline entirely).
     CacheHits,
-    /// Analysis-cache lookups that missed (including corrupted entries
-    /// that fell back to re-analysis).
+    /// Analysis-cache lookups that missed, including corrupted entries
+    /// that fell back to re-analysis (corpus drivers).
     CacheMisses,
     /// Bytes read from the analysis cache store.
     CacheBytesRead,
     /// Bytes written to the analysis cache store.
     CacheBytesWritten,
-    /// Functions hash-matched against the known-library index.
+    /// Functions hash-matched against the known-library index (stage 2).
     LibFnsMatched,
-    /// Library-body traversals replaced by taint-script replay.
+    /// Library-body traversals replaced by taint-script replay (stage 2).
     LibTraversalsSkipped,
-    /// Taint-tree nodes emitted by script replay.
+    /// Taint-tree nodes emitted by script replay (stage 2).
     LibSummaryApplies,
-    /// Slice texts classified through the batched semantics path.
+    /// Slice texts classified through the batched semantics path
+    /// (stage 3; corpus drivers — warmth-dependent, so never emitted per
+    /// unit).
     SlicesBatched,
-    /// Slices the certified None pre-filter resolved without scoring.
+    /// Slices the certified None pre-filter resolved without scoring
+    /// (corpus drivers; see [`Counter::SlicesBatched`] on why).
     PrefilterSkips,
-    /// Slice classifications answered by the corpus-wide class cache.
+    /// Slice classifications answered by the corpus-wide class cache
+    /// (corpus drivers; see [`Counter::SlicesBatched`] on why).
     ClassCacheHits,
 }
 
-/// Per-stage work counters accumulated over one analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageCounters {
-    /// Executable entries attempted during pinpointing (stage 1).
-    pub executables_tried: u64,
-    /// Executables that failed MRE parsing (stage 1).
-    pub parse_failures: u64,
-    /// Executables that parsed but failed to lift (stage 1).
-    pub lift_failures: u64,
-    /// Backward-taint queries issued (stage 2).
-    pub taint_queries: u64,
-    /// Taint queries answered from the memo cache (stage 2).
-    pub taint_cache_hits: u64,
-    /// Enriched code slices rendered (stage 3).
-    pub slices_rendered: u64,
-    /// Fields matched to a semantic primitive (stage 4).
-    pub fields_matched: u64,
-    /// Analysis-cache hits (corpus drivers; always 0 inside one
-    /// pipeline run — cached results skip the pipeline entirely).
-    pub cache_hits: u64,
-    /// Analysis-cache misses (corpus drivers).
-    pub cache_misses: u64,
-    /// Bytes read from the analysis cache store.
-    pub cache_bytes_read: u64,
-    /// Bytes written to the analysis cache store.
-    pub cache_bytes_written: u64,
-    /// Functions hash-matched against the known-library index (stage 2).
-    pub lib_fns_matched: u64,
-    /// Library-body traversals replaced by script replay (stage 2).
-    pub lib_traversals_skipped: u64,
-    /// Taint-tree nodes emitted by script replay (stage 2).
-    pub lib_summary_applies: u64,
-    /// Slice texts classified through the batched semantics path
-    /// (stage 3; corpus drivers — warmth-dependent, so never emitted
-    /// per unit).
-    pub slices_batched: u64,
-    /// Slices the certified None pre-filter skipped scoring for
-    /// (corpus drivers; see `slices_batched` on why).
-    pub prefilter_skips: u64,
-    /// Slice classifications answered by the corpus-wide class cache
-    /// (corpus drivers; see `slices_batched` on why).
-    pub class_cache_hits: u64,
+impl Counter {
+    /// Every counter, in declaration (and tag) order.
+    pub const ALL: [Counter; 17] = [
+        Counter::ExecutablesTried,
+        Counter::ParseFailures,
+        Counter::LiftFailures,
+        Counter::TaintQueries,
+        Counter::TaintCacheHits,
+        Counter::SlicesRendered,
+        Counter::FieldsMatched,
+        Counter::CacheHits,
+        Counter::CacheMisses,
+        Counter::CacheBytesRead,
+        Counter::CacheBytesWritten,
+        Counter::LibFnsMatched,
+        Counter::LibTraversalsSkipped,
+        Counter::LibSummaryApplies,
+        Counter::SlicesBatched,
+        Counter::PrefilterSkips,
+        Counter::ClassCacheHits,
+    ];
+
+    /// How many counters there are.
+    pub const COUNT: usize = Counter::ALL.len();
+
+    /// The counter's position in [`Counter::ALL`]: its encoded tag.
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// The counter with encoded tag `tag`, if any.
+    pub fn from_tag(tag: u8) -> Option<Counter> {
+        Counter::ALL.get(usize::from(tag)).copied()
+    }
 }
+
+/// Per-analysis work counters, one `u64` per [`Counter`], indexed by
+/// counter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageCounters([u64; Counter::COUNT]);
 
 impl StageCounters {
     /// Add `n` to the counter identified by `counter`.
     pub fn record(&mut self, counter: Counter, n: u64) {
-        match counter {
-            Counter::ExecutablesTried => self.executables_tried += n,
-            Counter::ParseFailures => self.parse_failures += n,
-            Counter::LiftFailures => self.lift_failures += n,
-            Counter::TaintQueries => self.taint_queries += n,
-            Counter::TaintCacheHits => self.taint_cache_hits += n,
-            Counter::SlicesRendered => self.slices_rendered += n,
-            Counter::FieldsMatched => self.fields_matched += n,
-            Counter::CacheHits => self.cache_hits += n,
-            Counter::CacheMisses => self.cache_misses += n,
-            Counter::CacheBytesRead => self.cache_bytes_read += n,
-            Counter::CacheBytesWritten => self.cache_bytes_written += n,
-            Counter::LibFnsMatched => self.lib_fns_matched += n,
-            Counter::LibTraversalsSkipped => self.lib_traversals_skipped += n,
-            Counter::LibSummaryApplies => self.lib_summary_applies += n,
-            Counter::SlicesBatched => self.slices_batched += n,
-            Counter::PrefilterSkips => self.prefilter_skips += n,
-            Counter::ClassCacheHits => self.class_cache_hits += n,
-        }
+        self[counter] += n;
     }
 
     /// Read the counter identified by `counter`.
     pub fn get(&self, counter: Counter) -> u64 {
-        match counter {
-            Counter::ExecutablesTried => self.executables_tried,
-            Counter::ParseFailures => self.parse_failures,
-            Counter::LiftFailures => self.lift_failures,
-            Counter::TaintQueries => self.taint_queries,
-            Counter::TaintCacheHits => self.taint_cache_hits,
-            Counter::SlicesRendered => self.slices_rendered,
-            Counter::FieldsMatched => self.fields_matched,
-            Counter::CacheHits => self.cache_hits,
-            Counter::CacheMisses => self.cache_misses,
-            Counter::CacheBytesRead => self.cache_bytes_read,
-            Counter::CacheBytesWritten => self.cache_bytes_written,
-            Counter::LibFnsMatched => self.lib_fns_matched,
-            Counter::LibTraversalsSkipped => self.lib_traversals_skipped,
-            Counter::LibSummaryApplies => self.lib_summary_applies,
-            Counter::SlicesBatched => self.slices_batched,
-            Counter::PrefilterSkips => self.prefilter_skips,
-            Counter::ClassCacheHits => self.class_cache_hits,
-        }
+        self[counter]
+    }
+}
+
+impl Index<Counter> for StageCounters {
+    type Output = u64;
+
+    fn index(&self, counter: Counter) -> &u64 {
+        &self.0[usize::from(counter.tag())]
+    }
+}
+
+impl IndexMut<Counter> for StageCounters {
+    fn index_mut(&mut self, counter: Counter) -> &mut u64 {
+        &mut self.0[usize::from(counter.tag())]
     }
 }
 
@@ -337,6 +328,18 @@ mod tests {
         assert_eq!(c.get(Counter::TaintQueries), 5);
         assert_eq!(c.get(Counter::FieldsMatched), 1);
         assert_eq!(c.get(Counter::LiftFailures), 0);
+        c[Counter::ClassCacheHits] = 7;
+        assert_eq!(c.get(Counter::ClassCacheHits), 7);
+    }
+
+    #[test]
+    fn counter_table_is_in_tag_order() {
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(counter.tag()), i, "{counter:?}");
+            assert_eq!(Counter::from_tag(counter.tag()), Some(counter));
+        }
+        assert_eq!(Counter::from_tag(Counter::COUNT as u8), None);
+        assert_eq!(Counter::from_tag(u8::MAX), None);
     }
 
     #[test]
@@ -362,7 +365,7 @@ mod tests {
         };
         let mut collector = CollectingObserver::default();
         events.replay(&mut collector);
-        assert_eq!(collector.counters.taint_queries, 2);
+        assert_eq!(collector.counters[Counter::TaintQueries], 2);
         assert_eq!(collector.stages.len(), 1);
         assert_eq!(collector.diagnostics.len(), 1);
     }
@@ -378,7 +381,7 @@ mod tests {
             obs.stages,
             vec![(StageKind::ExeId, Duration::from_millis(2))]
         );
-        assert_eq!(obs.counters.executables_tried, 4);
+        assert_eq!(obs.counters[Counter::ExecutablesTried], 4);
         assert_eq!(obs.diagnostics.len(), 1);
     }
 }

@@ -2,18 +2,19 @@
 //! result types.
 //!
 //! The pipeline itself is staged — see [`crate::stages`] for the five
-//! typed stages and the shared [`AnalysisContext`]. This module hosts the
-//! drivers over those stages:
+//! stages, the message-unit model and the shared [`AnalysisContext`].
+//! One private driver runs stage 1, fans stages 2–5 out as message units
+//! and merges them back; every entry point funnels through it:
 //!
 //! * [`analyze_firmware`] — infallible convenience entry point; failures
 //!   degrade into [`Diagnostic`]s on the result.
-//! * [`analyze_firmware_with`] — same, streaming events to an
-//!   [`Observer`].
-//! * [`analyze_firmware_jobs`] / [`analyze_firmware_with_jobs`] — same
-//!   again, fanning the per-callsite message units out over up to `jobs`
-//!   worker threads ([`crate::stages`] describes the unit model). Every
-//!   entry point funnels through this driver; `jobs = 1` runs inline, and
-//!   the output is byte-identical at any job count.
+//! * [`analyze_firmware_jobs`] — same, fanning the per-callsite message
+//!   units out over up to `jobs` worker threads ([`crate::stages`]
+//!   describes the unit model). `jobs = 1` runs inline, and the output
+//!   is byte-identical at any job count.
+//! * [`analyze_firmware_cancellable`] — same again, streaming events to
+//!   an [`Observer`] and polling a [`CancelToken`] at every unit
+//!   boundary.
 //! * [`try_analyze_firmware`] — fallible variant returning
 //!   [`Error::NoUsableExecutable`] when executables existed but none
 //!   could be parsed and lifted.
@@ -23,11 +24,12 @@
 //!
 //! [`AnalysisContext`]: crate::stages::AnalysisContext
 
+use crate::cancel::CancelToken;
 use crate::driver::run_pool;
 use crate::error::{Diagnostic, Error, Severity, StageKind};
 use crate::exeid::{ExeIdConfig, HandlerInfo};
 use crate::formcheck::FormFlaw;
-use crate::observe::{NullObserver, Observer, StageCounters};
+use crate::observe::{Counter, NullObserver, Observer, StageCounters};
 use crate::stages::{
     enumerate_units, merge_unit_outputs, run_message_unit, AnalysisContext, ExeIdStage,
     UnitClassifier,
@@ -188,18 +190,7 @@ pub fn analyze_firmware(
     classifier: Option<&Classifier>,
     config: &AnalysisConfig,
 ) -> FirmwareAnalysis {
-    analyze_firmware_with(fw, classifier, config, &mut NullObserver)
-}
-
-/// [`analyze_firmware`] streaming stage boundaries, counters and
-/// diagnostics to `observer` as they happen.
-pub fn analyze_firmware_with(
-    fw: &FirmwareImage,
-    classifier: Option<&Classifier>,
-    config: &AnalysisConfig,
-    observer: &mut dyn Observer,
-) -> FirmwareAnalysis {
-    analyze_firmware_with_jobs(fw, classifier, config, 1, observer)
+    analyze_firmware_jobs(fw, classifier, config, 1)
 }
 
 /// [`analyze_firmware`] with intra-image parallelism: the per-callsite
@@ -216,87 +207,75 @@ pub fn analyze_firmware_jobs(
     config: &AnalysisConfig,
     jobs: usize,
 ) -> FirmwareAnalysis {
-    analyze_firmware_with_jobs(fw, classifier, config, jobs, &mut NullObserver)
+    match analyze_image(fw, classifier, config, jobs, &mut NullObserver, None) {
+        Ok(analysis) => analysis,
+        Err(e) => unreachable!("only a cancel token fails a run: {e}"),
+    }
 }
 
-/// [`analyze_firmware_jobs`] streaming events to `observer`.
-///
-/// This is the driver every other entry point funnels through. Stage 1
-/// (executable pinpointing) runs on the calling thread; stages 2–5 are
-/// enumerated into message units, executed on the shared pool
-/// ([`crate::run_pool`]), and merged back in canonical unit order, so the
-/// observer sees the sequential event stream whatever `jobs` is.
-pub fn analyze_firmware_with_jobs(
-    fw: &FirmwareImage,
-    classifier: Option<&Classifier>,
-    config: &AnalysisConfig,
-    jobs: usize,
-    observer: &mut dyn Observer,
-) -> FirmwareAnalysis {
-    let mut cx = AnalysisContext::new(fw, classifier, config, observer);
-    let Some(chosen) = ExeIdStage::run(&mut cx) else {
-        return cx.finish(None, Vec::new(), Vec::new());
-    };
-    let units = enumerate_units(&chosen.program, &chosen.handlers);
-    let engine = TaintEngine::with_config(&chosen.program, config.taint.clone());
-    let renderer = firmres_mft::SliceRenderer::for_engine(&engine);
-    let classes = UnitClassifier::new(classifier, config.taint.cold_path);
-    let outputs = run_pool(units.len(), jobs, |i| {
-        run_message_unit(&engine, &renderer, &classes, &units[i])
-    });
-    let records = merge_unit_outputs(&mut cx, outputs, engine.lib_matched());
-    cx.finish(Some(chosen.path), chosen.handlers, records)
-}
-
-/// [`analyze_firmware_with_jobs`] with cooperative cancellation: the
-/// token is polled before stage 1 and at every message-unit boundary.
+/// [`analyze_firmware_jobs`] streaming stage boundaries, counters and
+/// diagnostics to `observer` as they happen, with cooperative
+/// cancellation: the token is polled before stage 1, after it, and at
+/// every message-unit boundary.
 ///
 /// A run whose token never trips returns exactly what
-/// [`analyze_firmware_with_jobs`] would — the token adds checks, never
+/// [`analyze_firmware_jobs`] would — the token adds checks, never
 /// different work — so served results stay byte-identical to local ones.
 /// A tripped token abandons the remaining units and returns
 /// [`Error::Cancelled`]; already-finished unit work is discarded, and
 /// cancellation latency is bounded by the cost of one unit. This is the
 /// serving layer's hook: the `firmres-service` daemon gives each
 /// submitted job its own token (with the request deadline folded in) and
-/// trips it on an explicit `Cancel`.
+/// trips it on an explicit `Cancel`. Callers that only want the events
+/// pass a fresh [`CancelToken::new`].
 pub fn analyze_firmware_cancellable(
     fw: &FirmwareImage,
     classifier: Option<&Classifier>,
     config: &AnalysisConfig,
     jobs: usize,
     observer: &mut dyn Observer,
-    cancel: &crate::CancelToken,
+    cancel: &CancelToken,
 ) -> Result<FirmwareAnalysis, Error> {
-    let cancelled = |cancel: &crate::CancelToken| Error::Cancelled {
-        deadline_exceeded: cancel.deadline_exceeded(),
-    };
-    if cancel.is_cancelled() {
-        return Err(cancelled(cancel));
-    }
+    analyze_image(fw, classifier, config, jobs, observer, Some(cancel))
+}
+
+/// The one image driver every entry point funnels through.
+///
+/// Stage 1 (executable pinpointing) runs on the calling thread; stages
+/// 2–5 are enumerated into message units, executed on the shared pool
+/// ([`crate::run_pool`]), and merged back in canonical unit order, so the
+/// observer sees the sequential event stream whatever `jobs` is. Without
+/// a token the run cannot fail.
+fn analyze_image(
+    fw: &FirmwareImage,
+    classifier: Option<&Classifier>,
+    config: &AnalysisConfig,
+    jobs: usize,
+    observer: &mut dyn Observer,
+    cancel: Option<&CancelToken>,
+) -> Result<FirmwareAnalysis, Error> {
+    let poll = || cancel.map_or(Ok(()), CancelToken::check);
+    poll()?;
     let mut cx = AnalysisContext::new(fw, classifier, config, observer);
     let Some(chosen) = ExeIdStage::run(&mut cx) else {
         return Ok(cx.finish(None, Vec::new(), Vec::new()));
     };
-    if cancel.is_cancelled() {
-        return Err(cancelled(cancel));
-    }
+    poll()?;
     let units = enumerate_units(&chosen.program, &chosen.handlers);
     let engine = TaintEngine::with_config(&chosen.program, config.taint.clone());
     let renderer = firmres_mft::SliceRenderer::for_engine(&engine);
     let classes = UnitClassifier::new(classifier, config.taint.cold_path);
     // Each worker polls the token at the unit boundary; a unit skipped by
-    // a tripped token yields `None`, which poisons the whole run below.
+    // a tripped token yields `None`.
     let outputs = run_pool(units.len(), jobs, |i| {
-        if cancel.is_cancelled() {
-            return None;
-        }
+        poll().ok()?;
         Some(run_message_unit(&engine, &renderer, &classes, &units[i]))
     });
-    if cancel.is_cancelled() || outputs.iter().any(Option::is_none) {
-        return Err(cancelled(cancel));
-    }
-    let outputs = outputs.into_iter().flatten().collect();
+    poll()?;
+    let outputs = outputs
+        .into_iter()
+        .collect::<Option<_>>()
+        .expect("a token never un-trips, so a passing poll means no unit was skipped");
     let records = merge_unit_outputs(&mut cx, outputs, engine.lib_matched());
     Ok(cx.finish(Some(chosen.path), chosen.handlers, records))
 }
@@ -316,9 +295,10 @@ pub fn try_analyze_firmware(
     let analysis = analyze_firmware(fw, classifier, config);
     if analysis.executable.is_none() {
         let c = &analysis.counters;
-        if c.executables_tried > 0 && c.parse_failures + c.lift_failures == c.executables_tried {
+        let tried = c[Counter::ExecutablesTried];
+        if tried > 0 && c[Counter::ParseFailures] + c[Counter::LiftFailures] == tried {
             return Err(Error::NoUsableExecutable {
-                tried: c.executables_tried as usize,
+                tried: tried as usize,
                 diagnostics: analysis.diagnostics,
             });
         }
@@ -445,17 +425,17 @@ mod tests {
         let analysis = analyze_firmware(&dev.firmware, None, &AnalysisConfig::default());
         let c = &analysis.counters;
         assert!(
-            c.executables_tried >= 1,
+            c[Counter::ExecutablesTried] >= 1,
             "at least the cloud agent was tried"
         );
-        assert_eq!(c.parse_failures, 0);
-        assert_eq!(c.lift_failures, 0);
+        assert_eq!(c[Counter::ParseFailures], 0);
+        assert_eq!(c[Counter::LiftFailures], 0);
         assert!(
-            c.taint_queries >= analysis.messages.len() as u64,
+            c[Counter::TaintQueries] >= analysis.messages.len() as u64,
             "one payload trace per delivery callsite at minimum"
         );
-        assert!(c.slices_rendered > 0);
-        assert!(c.fields_matched > 0);
+        assert!(c[Counter::SlicesRendered] > 0);
+        assert!(c[Counter::FieldsMatched] > 0);
     }
 
     #[test]
@@ -476,19 +456,17 @@ mod tests {
     fn observer_sees_all_five_stages_in_order() {
         let dev = generate_device(10, 7);
         let mut obs = CollectingObserver::default();
-        let analysis =
-            analyze_firmware_with(&dev.firmware, None, &AnalysisConfig::default(), &mut obs);
+        let analysis = analyze_firmware_cancellable(
+            &dev.firmware,
+            None,
+            &AnalysisConfig::default(),
+            1,
+            &mut obs,
+            &CancelToken::new(),
+        )
+        .expect("untripped token never fails the run");
         let kinds: Vec<StageKind> = obs.stages.iter().map(|(k, _)| *k).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                StageKind::ExeId,
-                StageKind::FieldId,
-                StageKind::Semantics,
-                StageKind::Concat,
-                StageKind::FormCheck,
-            ]
-        );
+        assert_eq!(kinds, FIVE_STAGES);
         // The observer's view agrees with the result's own accounting.
         assert_eq!(obs.counters, analysis.counters);
         assert_eq!(obs.diagnostics, analysis.diagnostics);
@@ -496,31 +474,67 @@ mod tests {
         assert_eq!(observed_total, analysis.timings.total());
     }
 
+    const FIVE_STAGES: [StageKind; 5] = [
+        StageKind::ExeId,
+        StageKind::FieldId,
+        StageKind::Semantics,
+        StageKind::Concat,
+        StageKind::FormCheck,
+    ];
+
     #[test]
     fn cancellable_run_with_untripped_token_matches_plain_analysis() {
-        let dev = generate_device(10, 7);
         let config = AnalysisConfig::default();
-        let token = crate::CancelToken::new();
-        let cancellable = analyze_firmware_cancellable(
-            &dev.firmware,
-            None,
-            &config,
-            2,
-            &mut NullObserver,
-            &token,
-        )
-        .expect("untripped token never fails the run");
-        let plain = analyze_firmware(&dev.firmware, None, &config);
-        assert_eq!(cancellable.executable, plain.executable);
-        assert_eq!(cancellable.counters, plain.counters);
-        assert_eq!(cancellable.diagnostics, plain.diagnostics);
-        assert_eq!(cancellable.messages.len(), plain.messages.len());
+        // Device 10 has handler echoes and flagged messages; 21 has no
+        // executable at all.
+        for id in [10, 21] {
+            let dev = generate_device(id, 7);
+            let plain = analyze_firmware(&dev.firmware, None, &config);
+            for jobs in [1, 4] {
+                let mut obs = CollectingObserver::default();
+                let token = CancelToken::new();
+                let cancellable = analyze_firmware_cancellable(
+                    &dev.firmware,
+                    None,
+                    &config,
+                    jobs,
+                    &mut obs,
+                    &token,
+                )
+                .expect("untripped token never fails the run");
+                let at = format!("device {id}, jobs {jobs}");
+                // Every field but the timings.
+                assert_eq!(cancellable.executable, plain.executable, "{at}");
+                assert_eq!(
+                    format!("{:?}", cancellable.handlers),
+                    format!("{:?}", plain.handlers),
+                    "{at}"
+                );
+                assert_eq!(
+                    format!("{:?}", cancellable.messages),
+                    format!("{:?}", plain.messages),
+                    "{at}"
+                );
+                assert_eq!(cancellable.counters, plain.counters, "{at}");
+                assert_eq!(cancellable.diagnostics, plain.diagnostics, "{at}");
+                // The observer saw the same run, stage by stage.
+                let stages: Vec<StageKind> = obs.stages.iter().map(|(k, _)| *k).collect();
+                let expected: &[StageKind] = if plain.executable.is_some() {
+                    &FIVE_STAGES
+                } else {
+                    &FIVE_STAGES[..1]
+                };
+                assert_eq!(stages, expected, "{at}");
+                assert_eq!(obs.counters, plain.counters, "{at}");
+                assert_eq!(obs.diagnostics, plain.diagnostics, "{at}");
+            }
+        }
     }
 
     #[test]
     fn pre_tripped_token_cancels_before_any_work() {
         let dev = generate_device(10, 7);
-        let token = crate::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
         let err = analyze_firmware_cancellable(
             &dev.firmware,
@@ -542,7 +556,7 @@ mod tests {
     #[test]
     fn expired_deadline_reports_deadline_exceeded() {
         let dev = generate_device(10, 7);
-        let token = crate::CancelToken::with_deadline(Duration::ZERO);
+        let token = CancelToken::with_deadline(Duration::ZERO);
         let err = analyze_firmware_cancellable(
             &dev.firmware,
             None,

@@ -1,46 +1,45 @@
-//! The staged pipeline: five typed stages and the per-callsite
+//! The staged pipeline: the five pipeline stages and the per-callsite
 //! **message-unit** execution model.
 //!
-//! Each stage of the paper's Fig. 3 workflow is a function over shared
-//! state producing a typed artifact:
+//! Each stage of the paper's Fig. 3 workflow is a step over shared
+//! state:
 //!
 //! 1. [`ExeIdStage`] → [`ChosenExecutable`] — pinpoint the device-cloud
-//!    executable (best-scoring candidate, paper §IV-A);
-//! 2. [`FieldIdStage`] → [`RawMessage`]s — backward taint per delivery
-//!    callsite;
-//! 3. [`SemanticsStage`] → [`SliceSemantics`] — render and classify
-//!    enriched code slices;
-//! 4. [`ConcatStage`] → [`MessageRecord`]s — reconstruct and annotate
-//!    messages, LAN/echo filtering;
-//! 5. [`FormCheckStage`] — message-form findings in place.
+//!    executable (best-scoring candidate, paper §IV-A; the ranking lives
+//!    in [`rank_candidates`]);
+//! 2. field identification — backward taint per delivery callsite;
+//! 3. semantics recovery — render and classify enriched code slices;
+//! 4. concatenation — reconstruct and annotate the message, LAN/echo
+//!    filtering;
+//! 5. form check — message-form findings on the finished record.
 //!
 //! # The message-unit model
 //!
 //! Stages 2–5 share no state across delivery callsites: one callsite's
 //! taint → slices → semantics → reconstruction → form-check chain is an
-//! independent **message unit**. The unit path therefore splits the old
-//! whole-image stage loops into:
+//! independent **message unit**. The pipeline runs them as:
 //!
 //! * [`enumerate_units`] — deterministically list the delivery callsites
 //!   of the chosen executable as [`MessageUnit`] seeds;
 //! * [`run_message_unit`] — execute one unit's four-stage chain against
-//!   the shared read-only [`AnalysisInputs`] (plus the image-wide taint
-//!   engine and slice renderer, both `Sync`), buffering its counter and
-//!   diagnostic events in a private [`UnitContext`];
+//!   the image-wide taint engine, slice renderer and classifier (all
+//!   `Sync`), buffering its counter and diagnostic events in a private
+//!   [`UnitContext`];
 //! * [`merge_unit_outputs`] — fold the per-unit [`UnitOutput`]s back into
 //!   the [`AnalysisContext`] *in callsite order*, replaying each unit's
-//!   buffered events into the observer stage by stage.
+//!   buffered events into the observer stage by stage and emitting the
+//!   stage-global tail events ([`merge_unit_event_streams`]).
 //!
-//! [`analyze_firmware_with_jobs`](crate::pipeline::analyze_firmware_with_jobs)
-//! fans the units out over [`run_pool`](crate::driver::run_pool) workers;
-//! because the merge consumes results in unit order and every unit is a
-//! pure function of the immutable program, the analysis output is
-//! byte-identical at any job count (see `DESIGN.md` §8 for the full
-//! determinism argument).
-//!
-//! The classic per-stage API ([`FieldIdStage::run`] and friends) is kept
-//! for callers that need intermediate artifacts; it executes the same
-//! unit functions inline, so both paths produce identical event streams.
+//! The image driver behind every `analyze_*` entry point
+//! ([`analyze_firmware_cancellable`](crate::pipeline::analyze_firmware_cancellable)
+//! and friends) fans the units out over [`run_pool`](crate::driver::run_pool)
+//! workers; because the merge consumes results in unit order and every
+//! unit is a pure function of the immutable program, the analysis output
+//! is byte-identical at any job count (see `DESIGN.md` §8 for the full
+//! determinism argument). The store's incremental funnel reuses the same
+//! pieces — [`probe_executable`], [`rank_candidates`],
+//! [`run_message_unit`] and [`merge_unit_event_streams`] — so a spliced
+//! run emits the stream a fresh one does.
 //!
 //! The context owns the cross-cutting concerns: per-stage timing, work
 //! counters, structured diagnostics, and fan-out to the caller's
@@ -235,43 +234,36 @@ pub struct ChosenExecutable {
 }
 
 impl ChosenExecutable {
-    /// The executable's identification score: the best handler `P_f`
-    /// among its asynchronous request handlers (paper §IV-A ranks
-    /// candidates by this factor).
+    /// The executable's identification score: [`best_handler_score`] of
+    /// its handlers.
     pub fn best_score(&self) -> f64 {
-        self.handlers.iter().fold(0.0, |m, h| m.max(h.score))
+        best_handler_score(&self.handlers)
     }
 }
 
-/// Stage-2 artifact: one delivery callsite with its backward-taint
-/// results, before reconstruction.
-#[derive(Debug, Clone)]
-pub struct RawMessage {
-    /// Function containing the delivery callsite.
-    pub function: String,
-    /// The delivery callsite address.
-    pub callsite: Address,
-    /// Whether the callsite sits inside an identified request handler.
-    pub in_handler: bool,
-    /// The message field tree built from the payload taint.
-    pub mft: Mft,
-    /// Endpoint string (MQTT topic / HTTP path), when resolvable and
-    /// distinct from the payload argument.
-    pub endpoint: Option<String>,
-    /// Whether the delivery host resolved to a LAN address.
-    pub host_lan: bool,
+/// A candidate executable's identification score: the best handler
+/// `P_f` among its asynchronous request handlers (paper §IV-A ranks
+/// candidates by this factor).
+pub fn best_handler_score(handlers: &[HandlerInfo]) -> f64 {
+    handlers.iter().fold(0.0, |m, h| m.max(h.score))
 }
 
-/// Stage-3 artifact: rendered slices and their classified semantics,
-/// parallel to the stage-2 [`RawMessage`] list.
-pub struct SliceSemantics {
-    /// Enriched code slices per message (one inner vec per raw message).
-    pub slices: Vec<Vec<CodeSlice>>,
-    /// `(field origin, primitive)` pairs per message, consumed by the
-    /// concatenation stage's origin matching.
-    pub labeled: Vec<Vec<(FieldSource, Primitive)>>,
-    /// Raw primitive per slice, parallel to `slices`.
-    pub primitives: Vec<Vec<Primitive>>,
+/// A unit's stage-2 result: its delivery callsite with the
+/// backward-taint results, before reconstruction.
+struct RawMessage {
+    /// Function containing the delivery callsite.
+    function: String,
+    /// The delivery callsite address.
+    callsite: Address,
+    /// Whether the callsite sits inside an identified request handler.
+    in_handler: bool,
+    /// The message field tree built from the payload taint.
+    mft: Mft,
+    /// Endpoint string (MQTT topic / HTTP path), when resolvable and
+    /// distinct from the payload argument.
+    endpoint: Option<String>,
+    /// Whether the delivery host resolved to a LAN address.
+    host_lan: bool,
 }
 
 /// Classification front end shared by every message unit.
@@ -584,8 +576,8 @@ fn field_id_unit(
 /// Stage 3 for one unit: render the field slices and classify each.
 ///
 /// The image-wide "no trained classifier" diagnostic is *not* emitted
-/// here — it depends on every unit's output, so the merge (or the legacy
-/// stage driver) emits it once after all units.
+/// here — it depends on every unit's output, so the merge emits it once
+/// after all units.
 fn semantics_unit(
     renderer: &SliceRenderer<'_>,
     classes: &UnitClassifier<'_>,
@@ -844,7 +836,7 @@ pub fn merge_unit_event_streams(
 }
 
 // ---------------------------------------------------------------------------
-// The classic per-stage API
+// Stage 1
 // ---------------------------------------------------------------------------
 
 /// Stage 1: pinpoint the device-cloud executable (paper §IV-A).
@@ -917,6 +909,46 @@ pub fn probe_executable(
     })
 }
 
+/// Pick the stage-1 winner among the qualifying `candidates`, given in
+/// image order: the highest best-handler score wins and the earliest
+/// candidate wins ties (§IV-A ranks candidates by score rather than
+/// taking the first hit). Every runner-up is noted on `cx` at info
+/// severity, naming the winner.
+///
+/// `path_and_score` reads a candidate's executable path and its best
+/// handler `P_f` ([`best_handler_score`]). The live stage and the
+/// store's funnel, which ranks replayed verdicts, both rank through
+/// here, so their diagnostics agree byte for byte.
+pub fn rank_candidates<T>(
+    cx: &mut AnalysisContext<'_>,
+    candidates: Vec<T>,
+    path_and_score: impl Fn(&T) -> (&str, f64),
+) -> Option<T> {
+    let mut best = 0usize;
+    for (i, c) in candidates.iter().enumerate().skip(1) {
+        if path_and_score(c).1 > path_and_score(&candidates[best]).1 {
+            best = i;
+        }
+    }
+    if candidates.len() > 1 {
+        let (winner, winner_score) = path_and_score(&candidates[best]);
+        for (i, c) in candidates.iter().enumerate() {
+            if i != best {
+                let (path, score) = path_and_score(c);
+                cx.diagnose(Diagnostic::new(
+                    StageKind::ExeId,
+                    Severity::Info,
+                    path,
+                    format!(
+                        "device-cloud candidate (best P_f {score:.2}) outscored by {winner} (best P_f {winner_score:.2})"
+                    ),
+                ));
+            }
+        }
+    }
+    candidates.into_iter().nth(best)
+}
+
 impl ExeIdStage {
     /// Run the stage. `None` means no usable device-cloud executable was
     /// found (the diagnostics say why).
@@ -925,163 +957,13 @@ impl ExeIdStage {
             let mut candidates: Vec<ChosenExecutable> = Vec::new();
             for (path, bytes) in cx.inputs.fw.executables() {
                 let mut events = StageEvents::default();
-                let candidate =
-                    probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
+                let candidate = probe_executable(path, bytes, &cx.inputs.config.exeid, &mut events);
                 cx.replay_events(&events);
                 if let Some(candidate) = candidate {
                     candidates.push(candidate);
                 }
             }
-            // Rank the qualifying executables by best handler score
-            // (§IV-A scores candidates rather than taking the first
-            // hit); earliest image order wins ties.
-            let mut best = 0usize;
-            for (i, c) in candidates.iter().enumerate().skip(1) {
-                if c.best_score() > candidates[best].best_score() {
-                    best = i;
-                }
-            }
-            if candidates.len() > 1 {
-                let winner = candidates[best].path.clone();
-                let winner_score = candidates[best].best_score();
-                for (i, c) in candidates.iter().enumerate() {
-                    if i != best {
-                        cx.diagnose(Diagnostic::new(
-                            StageKind::ExeId,
-                            Severity::Info,
-                            &c.path,
-                            format!(
-                                "device-cloud candidate (best P_f {:.2}) outscored by {winner} (best P_f {winner_score:.2})",
-                                c.best_score()
-                            ),
-                        ));
-                    }
-                }
-            }
-            candidates.into_iter().nth(best)
-        })
-    }
-}
-
-/// Stage 2: identify message fields via backward taint per delivery
-/// callsite (paper §IV-B).
-pub struct FieldIdStage;
-
-impl FieldIdStage {
-    /// Run the stage over the chosen executable, inline on the calling
-    /// thread (the unit-parallel path is
-    /// [`analyze_firmware_with_jobs`](crate::pipeline::analyze_firmware_with_jobs)).
-    pub fn run(cx: &mut AnalysisContext<'_>, chosen: &ChosenExecutable) -> Vec<RawMessage> {
-        cx.run_stage(StageKind::FieldId, |cx| {
-            let engine = TaintEngine::with_config(&chosen.program, cx.inputs.config.taint.clone());
-            let units = enumerate_units(&chosen.program, &chosen.handlers);
-            let mut raws = Vec::with_capacity(units.len());
-            let mut keys = Vec::new();
-            for unit in &units {
-                let mut ucx = UnitContext::new();
-                let raw = ucx.run_stage(UnitStage::FieldId, |u| field_id_unit(&engine, unit, u));
-                cx.replay_events(&ucx.events.field_id);
-                keys.extend(ucx.taint_keys);
-                raws.push(raw);
-            }
-            let hits = memo_hits(keys.into_iter());
-            if hits > 0 {
-                cx.count(Counter::TaintCacheHits, hits);
-            }
-            let matched = engine.lib_matched();
-            if matched > 0 {
-                cx.count(Counter::LibFnsMatched, matched);
-            }
-            raws
-        })
-    }
-}
-
-/// Stage 3: recover field semantics from enriched code slices (paper
-/// §IV-C).
-pub struct SemanticsStage;
-
-impl SemanticsStage {
-    /// Run the stage: render one slice per field leaf and classify each.
-    pub fn run(
-        cx: &mut AnalysisContext<'_>,
-        chosen: &ChosenExecutable,
-        raws: &[RawMessage],
-    ) -> SliceSemantics {
-        cx.run_stage(StageKind::Semantics, |cx| {
-            let mode = cx.inputs.config.taint.cold_path;
-            let renderer = SliceRenderer::with_mode(&chosen.program, mode);
-            let classes = UnitClassifier::new(cx.inputs.classifier, mode);
-            let mut slices = Vec::with_capacity(raws.len());
-            let mut labeled = Vec::with_capacity(raws.len());
-            let mut primitives = Vec::with_capacity(raws.len());
-            for raw in raws {
-                let mut ucx = UnitContext::new();
-                let (s, l, p) = ucx.run_stage(UnitStage::Semantics, |u| {
-                    semantics_unit(&renderer, &classes, raw, u)
-                });
-                cx.replay_events(&ucx.events.semantics);
-                slices.push(s);
-                labeled.push(l);
-                primitives.push(p);
-            }
-            if cx.inputs.classifier.is_none() && slices.iter().any(|s| !s.is_empty()) {
-                cx.diagnose(Diagnostic::bare(
-                    StageKind::Semantics,
-                    Severity::Info,
-                    "no trained classifier; falling back to keyword weak-labeling",
-                ));
-            }
-            SliceSemantics {
-                slices,
-                labeled,
-                primitives,
-            }
-        })
-    }
-}
-
-/// Stage 4: concatenate fields into messages; group and LAN-filter
-/// (paper §IV-D).
-pub struct ConcatStage;
-
-impl ConcatStage {
-    /// Run the stage, consuming the stage-2 and stage-3 artifacts.
-    pub fn run(
-        cx: &mut AnalysisContext<'_>,
-        raws: Vec<RawMessage>,
-        sem: SliceSemantics,
-    ) -> Vec<MessageRecord> {
-        cx.run_stage(StageKind::Concat, |cx| {
-            let mut records = Vec::with_capacity(raws.len());
-            for (((raw, slices), labeled), primitives) in raws
-                .into_iter()
-                .zip(sem.slices)
-                .zip(sem.labeled)
-                .zip(sem.primitives)
-            {
-                let mut ucx = UnitContext::new();
-                let record = ucx.run_stage(UnitStage::Concat, |u| {
-                    concat_unit(raw, slices, labeled, primitives, u)
-                });
-                cx.replay_events(&ucx.events.concat);
-                records.push(record);
-            }
-            records
-        })
-    }
-}
-
-/// Stage 5: message-form checking of the counted records (paper §IV-E).
-pub struct FormCheckStage;
-
-impl FormCheckStage {
-    /// Run the stage, filling `flaws` in place.
-    pub fn run(cx: &mut AnalysisContext<'_>, records: &mut [MessageRecord]) {
-        cx.run_stage(StageKind::FormCheck, |_cx| {
-            for r in records.iter_mut() {
-                form_check_unit(r);
-            }
+            rank_candidates(cx, candidates, |c| (&c.path, c.best_score()))
         })
     }
 }
@@ -1093,43 +975,31 @@ mod tests {
     use firmres_corpus::generate_device;
 
     #[test]
-    fn stages_compose_to_the_full_pipeline() {
+    fn context_counters_track_work() {
         let dev = generate_device(10, 7);
         let config = AnalysisConfig::default();
         let mut obs = NullObserver;
         let mut cx = AnalysisContext::new(&dev.firmware, None, &config, &mut obs);
         let chosen = ExeIdStage::run(&mut cx).expect("device 10 has a cloud executable");
         assert_eq!(Some(chosen.path.as_str()), dev.cloud_executable.as_deref());
-        let raws = FieldIdStage::run(&mut cx, &chosen);
-        assert!(!raws.is_empty());
-        let sem = SemanticsStage::run(&mut cx, &chosen, &raws);
-        assert_eq!(sem.slices.len(), raws.len());
-        let mut records = ConcatStage::run(&mut cx, raws, sem);
-        FormCheckStage::run(&mut cx, &mut records);
+        assert!(cx.counters()[Counter::ExecutablesTried] >= 1);
+        assert_eq!(cx.counters()[Counter::TaintQueries], 0, "no unit ran yet");
+        // Stages 2–5 through the driver's own pieces.
+        let units = enumerate_units(&chosen.program, &chosen.handlers);
+        let engine = TaintEngine::with_config(&chosen.program, config.taint.clone());
+        let renderer = SliceRenderer::for_engine(&engine);
+        let classes = UnitClassifier::new(None, config.taint.cold_path);
+        let outputs = units
+            .iter()
+            .map(|u| run_message_unit(&engine, &renderer, &classes, u))
+            .collect();
+        let records = merge_unit_outputs(&mut cx, outputs, engine.lib_matched());
+        assert!(cx.counters()[Counter::TaintQueries] >= units.len() as u64);
+        assert!(cx.counters()[Counter::SlicesRendered] > 0);
         let analysis = cx.finish(Some(chosen.path), chosen.handlers, records);
-        let reference = crate::analyze_firmware(&dev.firmware, None, &AnalysisConfig::default());
-        assert_eq!(
-            analysis.identified().count(),
-            reference.identified().count(),
-            "manual stage composition matches the driver"
-        );
-        assert_eq!(analysis.identified_fields(), reference.identified_fields());
-        // The per-stage path and the unit-merge path agree on every
-        // observable, not just the headline numbers.
+        let reference = crate::analyze_firmware(&dev.firmware, None, &config);
         assert_eq!(analysis.counters, reference.counters);
         assert_eq!(analysis.diagnostics, reference.diagnostics);
-    }
-
-    #[test]
-    fn context_counters_track_work() {
-        let dev = generate_device(10, 7);
-        let config = AnalysisConfig::default();
-        let mut obs = NullObserver;
-        let mut cx = AnalysisContext::new(&dev.firmware, None, &config, &mut obs);
-        let chosen = ExeIdStage::run(&mut cx).unwrap();
-        let raws = FieldIdStage::run(&mut cx, &chosen);
-        assert!(cx.counters().executables_tried >= 1);
-        assert!(cx.counters().taint_queries >= raws.len() as u64);
     }
 
     #[test]

@@ -469,6 +469,13 @@ impl<'p> SliceRenderer<'p> {
     /// Create a renderer whose cached def-use analyses use the given
     /// [`ColdPath`] implementation. Query results are identical either
     /// way; only the solver's data layout differs.
+    ///
+    /// The pipeline renders through [`SliceRenderer::for_engine`] and
+    /// never calls this: a stand-alone renderer solves each function's
+    /// def-use a second time. It stays for the reference-oracle tests
+    /// (`tests/cold_path_slices.rs` renders with
+    /// [`ColdPath::Reference`] against the engine-sharing form) and for
+    /// the benchmark's traced replay, which times slicing on its own.
     pub fn with_mode(program: &'p Program, mode: ColdPath) -> Self {
         SliceRenderer {
             program,

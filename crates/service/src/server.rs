@@ -45,8 +45,8 @@ use crate::wire::{
     PROTOCOL_VERSION,
 };
 use firmres::{
-    analyze_firmware_cancellable, analyze_packed, AnalysisConfig, CancelToken, Error, FnObserver,
-    NullObserver, Observer,
+    analyze_firmware_cancellable, analyze_packed, AnalysisConfig, CancelToken, Counter, Error,
+    FnObserver, NullObserver, Observer,
 };
 use firmres_cache::codec::{get_analysis, put_analysis, Reader};
 use firmres_cache::{AnalysisCache, CacheKey, StorePolicy};
@@ -541,13 +541,13 @@ fn run_job(shared: &Shared, mut job: Job) {
 
     match outcome {
         Ok((analysis, encoded)) => {
-            let c = &shared.counters;
+            let (c, a) = (&shared.counters, &analysis.counters);
             c.lib_fns_matched
-                .fetch_add(analysis.counters.lib_fns_matched, Ordering::Relaxed);
+                .fetch_add(a[Counter::LibFnsMatched], Ordering::Relaxed);
             c.lib_traversals_skipped
-                .fetch_add(analysis.counters.lib_traversals_skipped, Ordering::Relaxed);
+                .fetch_add(a[Counter::LibTraversalsSkipped], Ordering::Relaxed);
             c.lib_summary_applies
-                .fetch_add(analysis.counters.lib_summary_applies, Ordering::Relaxed);
+                .fetch_add(a[Counter::LibSummaryApplies], Ordering::Relaxed);
             let payload = encoded.unwrap_or_else(|| {
                 let mut payload = Vec::new();
                 put_analysis(&mut payload, &analysis);

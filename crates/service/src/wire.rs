@@ -35,11 +35,10 @@
 //! [`FirmwareAnalysis`]: firmres::FirmwareAnalysis
 
 use bytes::BufMut;
-use firmres::{AnalysisConfig, Counter, Diagnostic, Event, Severity, StageKind};
-use firmres_cache::codec::{DecodeError, Reader};
+use firmres::{AnalysisConfig, Event};
+use firmres_cache::codec::{get_event, put_event, DecodeError, Reader};
 use std::fmt;
 use std::io::{Read, Write};
-use std::time::Duration;
 
 /// Version of this wire protocol. Bump on any frame-layout change; the
 /// handshake refuses mismatched peers instead of misparsing them.
@@ -377,156 +376,6 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.put_slice(s.as_bytes());
 }
 
-fn put_stage_kind(out: &mut Vec<u8>, s: StageKind) {
-    // Local exhaustive tags, FRAC-codec style: a new StageKind variant
-    // fails this match, signalling a PROTOCOL_VERSION bump.
-    out.put_u8(match s {
-        StageKind::Input => 0,
-        StageKind::ExeId => 1,
-        StageKind::FieldId => 2,
-        StageKind::Semantics => 3,
-        StageKind::Concat => 4,
-        StageKind::FormCheck => 5,
-        StageKind::Cache => 6,
-    });
-}
-
-fn get_stage_kind(r: &mut Reader) -> Result<StageKind, WireError> {
-    Ok(match r.u8()? {
-        0 => StageKind::Input,
-        1 => StageKind::ExeId,
-        2 => StageKind::FieldId,
-        3 => StageKind::Semantics,
-        4 => StageKind::Concat,
-        5 => StageKind::FormCheck,
-        6 => StageKind::Cache,
-        t => return Err(WireError::Decode(format!("invalid StageKind tag {t}"))),
-    })
-}
-
-fn put_severity(out: &mut Vec<u8>, s: Severity) {
-    out.put_u8(match s {
-        Severity::Info => 0,
-        Severity::Warning => 1,
-        Severity::Error => 2,
-    });
-}
-
-fn get_severity(r: &mut Reader) -> Result<Severity, WireError> {
-    Ok(match r.u8()? {
-        0 => Severity::Info,
-        1 => Severity::Warning,
-        2 => Severity::Error,
-        t => return Err(WireError::Decode(format!("invalid Severity tag {t}"))),
-    })
-}
-
-fn put_counter(out: &mut Vec<u8>, c: Counter) {
-    out.put_u8(match c {
-        Counter::ExecutablesTried => 0,
-        Counter::ParseFailures => 1,
-        Counter::LiftFailures => 2,
-        Counter::TaintQueries => 3,
-        Counter::TaintCacheHits => 4,
-        Counter::SlicesRendered => 5,
-        Counter::FieldsMatched => 6,
-        Counter::CacheHits => 7,
-        Counter::CacheMisses => 8,
-        Counter::CacheBytesRead => 9,
-        Counter::CacheBytesWritten => 10,
-        Counter::LibFnsMatched => 11,
-        Counter::LibTraversalsSkipped => 12,
-        Counter::LibSummaryApplies => 13,
-        Counter::SlicesBatched => 14,
-        Counter::PrefilterSkips => 15,
-        Counter::ClassCacheHits => 16,
-    });
-}
-
-fn get_counter(r: &mut Reader) -> Result<Counter, WireError> {
-    Ok(match r.u8()? {
-        0 => Counter::ExecutablesTried,
-        1 => Counter::ParseFailures,
-        2 => Counter::LiftFailures,
-        3 => Counter::TaintQueries,
-        4 => Counter::TaintCacheHits,
-        5 => Counter::SlicesRendered,
-        6 => Counter::FieldsMatched,
-        7 => Counter::CacheHits,
-        8 => Counter::CacheMisses,
-        9 => Counter::CacheBytesRead,
-        10 => Counter::CacheBytesWritten,
-        11 => Counter::LibFnsMatched,
-        12 => Counter::LibTraversalsSkipped,
-        13 => Counter::LibSummaryApplies,
-        14 => Counter::SlicesBatched,
-        15 => Counter::PrefilterSkips,
-        16 => Counter::ClassCacheHits,
-        t => return Err(WireError::Decode(format!("invalid Counter tag {t}"))),
-    })
-}
-
-fn put_diagnostic(out: &mut Vec<u8>, d: &Diagnostic) {
-    put_stage_kind(out, d.stage);
-    put_severity(out, d.severity);
-    match &d.subject {
-        None => out.put_u8(0),
-        Some(s) => {
-            out.put_u8(1);
-            put_string(out, s);
-        }
-    }
-    put_string(out, &d.detail);
-}
-
-fn get_diagnostic(r: &mut Reader) -> Result<Diagnostic, WireError> {
-    let stage = get_stage_kind(r)?;
-    let severity = get_severity(r)?;
-    let subject = if r.boolean()? {
-        Some(r.string()?)
-    } else {
-        None
-    };
-    let detail = r.string()?;
-    Ok(match subject {
-        Some(s) => Diagnostic::new(stage, severity, s, detail),
-        None => Diagnostic::bare(stage, severity, detail),
-    })
-}
-
-fn put_event(out: &mut Vec<u8>, ev: &Event) {
-    match ev {
-        Event::StageStarted(stage) => {
-            out.put_u8(0);
-            put_stage_kind(out, *stage);
-        }
-        Event::StageFinished(stage, elapsed) => {
-            out.put_u8(1);
-            put_stage_kind(out, *stage);
-            out.put_u64_le(elapsed.as_nanos() as u64);
-        }
-        Event::Count(counter, n) => {
-            out.put_u8(2);
-            put_counter(out, *counter);
-            out.put_u64_le(*n);
-        }
-        Event::Diagnostic(d) => {
-            out.put_u8(3);
-            put_diagnostic(out, d);
-        }
-    }
-}
-
-fn get_event(r: &mut Reader) -> Result<Event, WireError> {
-    Ok(match r.u8()? {
-        0 => Event::StageStarted(get_stage_kind(r)?),
-        1 => Event::StageFinished(get_stage_kind(r)?, Duration::from_nanos(r.u64()?)),
-        2 => Event::Count(get_counter(r)?, r.u64()?),
-        3 => Event::Diagnostic(get_diagnostic(r)?),
-        t => return Err(WireError::Decode(format!("invalid Event tag {t}"))),
-    })
-}
-
 /// Encode every [`AnalysisConfig`] knob that changes analysis output —
 /// the same field set [`config_fingerprint`] covers, so a config that
 /// round-trips the wire fingerprints identically on both ends.
@@ -731,6 +580,9 @@ impl Response {
             Response::Event { job_id, event } => {
                 out.put_u8(3);
                 out.put_u64_le(*job_id);
+                // The FRAC codec's event bytes, shared with persisted
+                // unit artifacts: any change to them changes this frame
+                // and needs a PROTOCOL_VERSION bump.
                 put_event(&mut out, event);
             }
             Response::Analysis {
@@ -841,7 +693,9 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use firmres::{Counter, Diagnostic, Severity, StageKind};
     use firmres_cache::config_fingerprint;
+    use std::time::Duration;
 
     fn request_round_trip(req: &Request) -> Request {
         Request::decode(&req.encode()).expect("round trip decodes")

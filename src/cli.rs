@@ -27,7 +27,8 @@
 //! * `cache-stats <dir>` — survey an analysis-cache store directory
 
 use firmres::{
-    analyze_firmware, analyze_firmware_jobs, AnalysisConfig, CollectingObserver, Parallelism,
+    analyze_firmware, analyze_firmware_jobs, AnalysisConfig, CollectingObserver, Counter,
+    Parallelism,
 };
 use firmres_cache::{analyze_corpus_incremental, AnalysisCache};
 use firmres_firmware::{content_hash_packed_wide, FirmwareImage};
@@ -1079,30 +1080,34 @@ fn load_model(path: Option<&String>) -> Result<Option<firmres_semantics::Classif
 /// memoization behaviour — as a trailing section.
 fn append_stats(out: &mut String, analysis: &firmres::FirmwareAnalysis) {
     let c = &analysis.counters;
-    if c.taint_queries == 0 {
+    let queries = c[Counter::TaintQueries];
+    if queries == 0 {
         return;
     }
-    let memo_pct = 100.0 * c.taint_cache_hits as f64 / c.taint_queries as f64;
+    let hits = c[Counter::TaintCacheHits];
+    let memo_pct = 100.0 * hits as f64 / queries as f64;
     let _ = writeln!(out, "\npipeline stats:");
     let _ = writeln!(
         out,
-        "  taint queries: {} ({} answered from memo cache, {memo_pct:.0}%)",
-        c.taint_queries, c.taint_cache_hits
+        "  taint queries: {queries} ({hits} answered from memo cache, {memo_pct:.0}%)"
     );
     let _ = writeln!(
         out,
         "  slices rendered: {} | fields matched: {}",
-        c.slices_rendered, c.fields_matched
+        c[Counter::SlicesRendered],
+        c[Counter::FieldsMatched]
     );
     // Per-analysis semantics batching counters stay zero by design (the
     // corpus driver owns them — they depend on cache warmth, which must
     // not leak into persisted per-analysis reports), but a replayed
     // record from a future producer that does fill them renders here.
-    if c.slices_batched > 0 || c.prefilter_skips > 0 || c.class_cache_hits > 0 {
+    let batched = c[Counter::SlicesBatched];
+    let skips = c[Counter::PrefilterSkips];
+    let hits = c[Counter::ClassCacheHits];
+    if batched > 0 || skips > 0 || hits > 0 {
         let _ = writeln!(
             out,
-            "  slices batch-classified: {} | prefilter skips: {} | class cache hits: {}",
-            c.slices_batched, c.prefilter_skips, c.class_cache_hits
+            "  slices batch-classified: {batched} | prefilter skips: {skips} | class cache hits: {hits}"
         );
     }
 }

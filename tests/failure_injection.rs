@@ -3,7 +3,7 @@
 
 use firmres::{
     analyze_firmware, analyze_packed, try_analyze_firmware, try_analyze_packed, AnalysisConfig,
-    Error, Severity, StageKind,
+    Counter, Error, Severity, StageKind,
 };
 use firmres_cloud::{HttpRequest, ResponseStatus};
 use firmres_corpus::generate_device;
@@ -73,7 +73,7 @@ fn corrupted_executable_inside_valid_image_is_skipped() {
         analysis.diagnostics
     );
     assert!(
-        analysis.counters.parse_failures >= 1,
+        analysis.counters[Counter::ParseFailures] >= 1,
         "parse failure counted"
     );
 }
@@ -163,7 +163,10 @@ fn function_symbol_past_the_code_is_a_lift_error_not_a_panic() {
     let mut fw = dev.firmware.clone();
     fw.add_file(path, FileEntry::Executable(resealed));
     let analysis = analyze_firmware(&fw, None, &AnalysisConfig::default());
-    assert!(analysis.counters.lift_failures >= 1, "lift failure counted");
+    assert!(
+        analysis.counters[Counter::LiftFailures] >= 1,
+        "lift failure counted"
+    );
     assert!(
         analysis
             .diagnostics

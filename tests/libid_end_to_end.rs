@@ -5,7 +5,7 @@
 //! the index fingerprint invalidates both whole-image cache entries
 //! and unit banks.
 
-use firmres::{analyze_firmware, analyze_firmware_jobs, AnalysisConfig, NullObserver};
+use firmres::{analyze_firmware, analyze_firmware_jobs, AnalysisConfig, Counter, NullObserver};
 use firmres_cache::{analyze_corpus_incremental, codec, AnalysisCache};
 use firmres_corpus::synth_device_with_libraries;
 use firmres_dataflow::{LibId, LibIndex};
@@ -56,9 +56,9 @@ fn on_config(index: &Arc<LibIndex>) -> AnalysisConfig {
 /// every other byte must match).
 fn canonical(mut analysis: firmres::FirmwareAnalysis) -> Vec<u8> {
     analysis.timings = Default::default();
-    analysis.counters.lib_fns_matched = 0;
-    analysis.counters.lib_traversals_skipped = 0;
-    analysis.counters.lib_summary_applies = 0;
+    analysis.counters[Counter::LibFnsMatched] = 0;
+    analysis.counters[Counter::LibTraversalsSkipped] = 0;
+    analysis.counters[Counter::LibSummaryApplies] = 0;
     let mut out = Vec::new();
     codec::put_analysis(&mut out, &analysis);
     out
@@ -83,10 +83,23 @@ fn replay_is_byte_identical_and_skips_traversals() {
     let off = analyze_firmware(&fw, None, &AnalysisConfig::default());
     let on = analyze_firmware(&fw, None, &on_config(&index));
 
-    assert!(on.counters.lib_fns_matched > 0, "roster functions match");
-    assert!(on.counters.lib_traversals_skipped > 0, "traversals skipped");
-    assert!(on.counters.lib_summary_applies > 0, "summaries applied");
-    assert_eq!(off.counters.lib_fns_matched, 0, "Off meters stay zero");
+    assert!(
+        on.counters[Counter::LibFnsMatched] > 0,
+        "roster functions match"
+    );
+    assert!(
+        on.counters[Counter::LibTraversalsSkipped] > 0,
+        "traversals skipped"
+    );
+    assert!(
+        on.counters[Counter::LibSummaryApplies] > 0,
+        "summaries applied"
+    );
+    assert_eq!(
+        off.counters[Counter::LibFnsMatched],
+        0,
+        "Off meters stay zero"
+    );
     assert_eq!(canonical(off), canonical(on), "replay is byte-identical");
 }
 
@@ -102,8 +115,12 @@ fn unlinked_devices_are_untouched_by_the_index() {
         let on = analyze_firmware(&fw, None, &on_config(&index));
         // Decoy slots hash differently from real roster functions, so
         // nothing matches and nothing is skipped.
-        assert_eq!(on.counters.lib_fns_matched, 0, "device {probe}");
-        assert_eq!(on.counters.lib_traversals_skipped, 0, "device {probe}");
+        assert_eq!(on.counters[Counter::LibFnsMatched], 0, "device {probe}");
+        assert_eq!(
+            on.counters[Counter::LibTraversalsSkipped],
+            0,
+            "device {probe}"
+        );
         return;
     }
     panic!("no unlinked device in the first 16");

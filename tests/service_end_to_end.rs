@@ -6,7 +6,7 @@
 //! hanging; and drain finishes accounting for in-flight work before
 //! refusing the world.
 
-use firmres::{analyze_firmware, AnalysisConfig};
+use firmres::{analyze_firmware, AnalysisConfig, Counter};
 use firmres_cache::codec::put_analysis;
 use firmres_firmware::content_hash_packed_wide;
 use firmres_service::wire::{read_response, send_request, Request, Response};
@@ -429,7 +429,7 @@ fn model_and_index_payloads_are_the_local_encoding() {
             "{pass}: payload is the local encoding"
         );
         assert!(
-            served.analysis.counters.lib_fns_matched > 0,
+            served.analysis.counters[Counter::LibFnsMatched] > 0,
             "{pass}: index in use"
         );
         assert_eq!(
