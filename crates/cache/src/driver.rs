@@ -200,7 +200,7 @@ pub fn analyze_corpus_incremental(
     for ((i, diag), (result, cache_diags)) in misses.into_iter().zip(fresh) {
         let mut spliced = false;
         // The funnel's bytes are the analysis's `put_analysis` encoding:
-        // they become the entry's analysis section without a re-encode.
+        // they become the entry's payload without a re-encode.
         let (analysis, encoded) = match result {
             Ok(out) => {
                 stats.unit_hits += out.stats.unit_hits;
@@ -226,7 +226,7 @@ pub fn analyze_corpus_incremental(
         });
         if !spliced || diag.is_some() {
             let stored = match &encoded {
-                Some(bytes) => cache.store_encoded(&keys[i], &analysis, bytes),
+                Some(bytes) => cache.store_encoded(&keys[i], bytes),
                 None => cache.store(&keys[i], &analysis),
             };
             match stored {

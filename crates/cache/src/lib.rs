@@ -15,10 +15,9 @@
 //!   that can change output, and a fingerprint of the semantics
 //!   classifier (or the absence of one). Any of the four changing
 //!   changes the key, so stale results are structurally unreachable.
-//! * [`AnalysisCache`] — a one-file-per-key on-disk store holding the
-//!   completed analysis plus per-stage intermediate artifacts (the
-//!   ExeId handler set, the FieldId taint summaries) in independently
-//!   decodable sections, sealed by a checksum.
+//! * [`AnalysisCache`] — a one-file-per-key on-disk store: each entry
+//!   is the completed analysis's encoding, sealed behind a magic, a
+//!   schema version and a key echo, with a trailing checksum.
 //! * [`analyze_corpus_incremental`] — the drop-in corpus driver: hits
 //!   skip the pipeline entirely, misses run on the shared worker pool
 //!   and populate the store. Damaged entries are diagnosed
@@ -66,7 +65,5 @@ pub use key::{
     classifier_fingerprint, config_fingerprint, CacheKey, NO_CLASSIFIER, PIPELINE_VERSION,
 };
 pub use policy::{parse_byte_size, GcOutcome, ShardOccupancy, StorePolicy, MAX_SHARDS};
-pub use store::{
-    taint_summaries, AnalysisCache, CacheError, CachedEntry, LibUsage, StoreStats, SCHEMA_VERSION,
-};
+pub use store::{AnalysisCache, CacheError, CachedEntry, LibUsage, StoreStats, SCHEMA_VERSION};
 pub use unit::{analyze_image_units_incremental, UnitFunnelOutcome, UnitStats};

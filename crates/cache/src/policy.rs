@@ -66,9 +66,6 @@ pub struct StorePolicy {
     /// GC target point: a pass evicts least-recently-used artifacts
     /// until the total is at or below `low_watermark × budget`.
     pub low_watermark: f64,
-    /// Whether pinned artifacts are exempt from eviction. With `false`
-    /// pins are advisory only and LRU order alone decides.
-    pub exempt_pinned: bool,
     /// Entry budget of the in-memory corpus-wide slice-classification
     /// cache (distinct texts; `0` = unbounded). At the budget new texts
     /// are still classified, just not remembered — labels never change,
@@ -83,7 +80,6 @@ impl Default for StorePolicy {
             byte_budget: None,
             high_watermark: 1.0,
             low_watermark: 0.85,
-            exempt_pinned: true,
             // ~1M distinct texts; slice texts average well under 1 KiB,
             // so the worst case stays within a service-sized heap.
             class_cache_entries: 1 << 20,
@@ -131,13 +127,6 @@ impl StorePolicy {
             }
             "low_watermark" => {
                 self.low_watermark = parse_fraction(key, value)?;
-            }
-            "exempt_pinned" => {
-                self.exempt_pinned = match value {
-                    "true" => true,
-                    "false" => false,
-                    _ => return Err(format!("exempt_pinned: expected true/false, got {value:?}")),
-                };
             }
             "class_cache_entries" => {
                 self.class_cache_entries = if value.eq_ignore_ascii_case("none")
@@ -259,7 +248,6 @@ pub(crate) struct GcState {
     clock: u64,
     entries: HashMap<String, FileMeta>,
     total_bytes: u64,
-    pinned: std::collections::HashSet<String>,
     /// Lifetime counters, per shard index.
     evicted: Vec<u64>,
     reclaimed: Vec<u64>,
@@ -376,16 +364,6 @@ impl Evictor {
         }
     }
 
-    /// Pin or unpin an artifact by file name.
-    pub(crate) fn set_pinned(&self, name: &str, pinned: bool) {
-        let mut st = lock_state(&self.state);
-        if pinned {
-            st.pinned.insert(name.to_string());
-        } else {
-            st.pinned.remove(name);
-        }
-    }
-
     /// Run one eviction pass: delete least-recently-used artifacts until
     /// the total is at or below `low_watermark × budget`, then persist
     /// the updated per-shard indexes. The most recently touched artifact
@@ -404,7 +382,6 @@ impl Evictor {
         let mut victims: Vec<(u64, String, u64)> = st
             .entries
             .iter()
-            .filter(|(name, _)| !(self.policy.exempt_pinned && st.pinned.contains(*name)))
             .map(|(name, meta)| (meta.tick, name.clone(), meta.bytes))
             .collect();
         victims.sort_unstable();
@@ -505,6 +482,13 @@ pub(crate) const INDEX_NAME: &str = "shard.fridx";
 
 const INDEX_MAGIC: &[u8; 4] = b"FRIX";
 
+/// Layout version of the shard index. It is versioned apart from the
+/// sealed artifacts' [`SCHEMA_VERSION`], whose v4 bump did not touch the
+/// index, so an upgraded store keeps its eviction counters and LRU order.
+///
+/// [`SCHEMA_VERSION`]: crate::SCHEMA_VERSION
+const INDEX_SCHEMA: u16 = 3;
+
 /// A decoded shard index: lifetime eviction counters plus the last known
 /// access tick per surviving artifact.
 #[derive(Debug, Default)]
@@ -532,7 +516,7 @@ pub(crate) fn read_index(path: &Path) -> Option<ShardIndex> {
     if r.bytes(4).ok()? != INDEX_MAGIC {
         return None;
     }
-    if r.u16().ok()? != crate::store::SCHEMA_VERSION {
+    if r.u16().ok()? != INDEX_SCHEMA {
         return None;
     }
     let mut index = ShardIndex {
@@ -564,7 +548,7 @@ fn persist_indexes(root: &Path, policy: &StorePolicy, st: &GcState, touched: &[b
         }
         let mut body = Vec::new();
         body.put_slice(INDEX_MAGIC);
-        body.put_u16_le(crate::store::SCHEMA_VERSION);
+        body.put_u16_le(INDEX_SCHEMA);
         body.put_u64_le(st.evicted[shard]);
         body.put_u64_le(st.reclaimed[shard]);
         body.put_u64_le(policy.byte_budget.unwrap_or(0));
@@ -598,7 +582,6 @@ mod tests {
         let p = StorePolicy::default();
         assert_eq!(p.shards, 1);
         assert_eq!(p.byte_budget, None);
-        assert!(p.exempt_pinned);
         assert!(p.validate().is_ok());
     }
 
@@ -620,12 +603,12 @@ mod tests {
         p.apply("shards", "8").unwrap();
         p.apply("byte_budget", "128K").unwrap();
         p.apply("low_watermark", "0.5").unwrap();
-        p.apply("exempt_pinned", "false").unwrap();
         assert_eq!(p.shards, 8);
         assert_eq!(p.byte_budget, Some(128 << 10));
         assert_eq!(p.low_watermark, 0.5);
-        assert!(!p.exempt_pinned);
         assert!(p.apply("bite_budget", "1M").is_err());
+        // A removed key is an unknown key, never silently ignored.
+        assert!(p.apply("exempt_pinned", "true").is_err());
         assert!(p.apply("low_watermark", "1.5").is_err());
     }
 

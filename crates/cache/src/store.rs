@@ -1,75 +1,72 @@
-//! The on-disk analysis store: one file per [`CacheKey`], with a
-//! versioned header, sectioned payload, and trailing checksum.
+//! The on-disk analysis store: one file per [`CacheKey`], and the one
+//! sealed-file format every store artifact shares.
 //!
-//! # Entry layout
+//! # Sealed artifacts
+//!
+//! Image entries (`.frac`), unit banks (`.fru`) and executable verdicts
+//! (`.frv`, see [`crate::unit`]) are all written and read by the same
+//! pair of functions, so they share one layout:
 //!
 //! ```text
-//! "FRAC"                      magic
-//! u16  schema version         (SCHEMA_VERSION)
-//! u128 image hash       ┐
-//! u32  pipeline version │     key echo — must match the lookup key
-//! u64  config hash      │
-//! u64  classifier hash  ┘
-//! u32+bytes  handlers section        (Vec<HandlerInfo>)
-//! u32+bytes  taint-summary section   (Vec<TaintSummary>)
-//! u32+bytes  analysis section        (FirmwareAnalysis)
-//! u64  FNV-64 of everything above
+//! 4 bytes   magic                ("FRAC", "FRUB" or "FRVD")
+//! u16       schema version       (SCHEMA_VERSION)
+//! echo      key echo             — must match the lookup key
+//! payload   the artifact itself  (runs to the checksum)
+//! u64       FNV-64 of everything above
 //! ```
 //!
-//! Entries are written to a temp file in the store directory and
+//! A `.frac` entry echoes the whole 36-byte [`CacheKey`] (u128 image
+//! hash, u32 pipeline version, u64 config and classifier fingerprints)
+//! and its payload is exactly the [`put_analysis`] encoding of the
+//! analysis. `.fru`/`.frv` files echo their 16-byte u128 key.
+//!
+//! Artifacts are written to a temp file in the store directory and
 //! renamed into place, so a crash mid-write or a concurrent reader in a
-//! shared cache directory never observes a torn entry.
+//! shared cache directory never observes a torn artifact.
 //!
-//! Each section is byte-length-prefixed, so [`AnalysisCache::load_handlers`]
-//! and [`AnalysisCache::load_taint_summaries`] can return a stage's
-//! intermediate artifact without decoding the full analysis.
-//!
-//! Every failure mode — missing file, foreign magic, schema or key
-//! mismatch, truncation, checksum or decode failure — is a typed
-//! [`CacheError`]. Only [`CacheError::Miss`] is silent; callers treat
-//! everything else as *diagnosed* misses (the incremental driver logs a
-//! [`StageKind::Cache`] diagnostic and re-analyzes).
+//! Every failure mode — missing file, checksum, foreign magic, schema or
+//! key mismatch, truncation, decode failure — is a typed [`CacheError`].
+//! Only [`CacheError::Miss`] is silent; callers treat everything else as
+//! *diagnosed* misses (the incremental driver logs a [`StageKind::Cache`]
+//! diagnostic, re-analyzes and overwrites the file in place).
 //!
 //! [`StageKind::Cache`]: firmres::StageKind
 
-use crate::codec::{
-    get_analysis, get_handler, get_taint_summary, put_analysis, put_handler, put_taint_summary,
-    DecodeError, Reader,
-};
+use crate::codec::{get_analysis, put_analysis, DecodeError, Reader};
 use crate::key::CacheKey;
 use crate::policy::{self, Evictor, GcOutcome, ShardOccupancy, StorePolicy};
 use bytes::BufMut;
-use firmres::{Counter, FirmwareAnalysis, HandlerInfo};
-use firmres_dataflow::TaintSummary;
+use firmres::{Counter, FirmwareAnalysis};
 use firmres_firmware::content_hash_packed;
-use firmres_mft::MftNodeKind;
 use firmres_semantics::{ClassCache, ClassCacheStats};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Version of the entry layout itself (header + sectioning), as opposed
-/// to [`PIPELINE_VERSION`] which covers what the sections *contain*.
+/// Version of the sealed-artifact layout, shared by `.frac`, `.fru` and
+/// `.frv` files, as opposed to [`PIPELINE_VERSION`] which covers what
+/// the payloads *contain*. Only this exact version is read; any other
+/// is [`CacheError::SchemaMismatch`], a diagnosed miss that re-derives
+/// the artifact and overwrites it under the same file name.
 ///
 /// # History
 ///
+/// * v4 — one sealed format for all three kinds: a `.frac` payload is
+///   exactly the analysis encoding (the handler and taint-summary
+///   sections, which nothing read, are gone).
 /// * v3 — the store gained unit-granular sibling artifacts (`.fru` bank
-///   and `.frv` verdict files, see [`crate::unit`]). The `.frac` image
-///   entry layout itself is unchanged, so v2 entries remain fully
-///   servable: [`read_verified`] accepts both versions. New writes are
-///   stamped v3.
-/// * v2 — sectioned payload with per-stage artifacts.
+///   and `.frv` verdict files, see [`crate::unit`]).
+/// * v2 — sectioned `.frac` payload with per-stage artifacts.
 ///
 /// [`PIPELINE_VERSION`]: crate::PIPELINE_VERSION
-/// [`read_verified`]: AnalysisCache::load
-pub const SCHEMA_VERSION: u16 = 3;
-
-/// The oldest schema version whose `.frac` entries this build can still
-/// decode. v2 and v3 share the entry layout byte for byte.
-pub const MIN_READ_SCHEMA_VERSION: u16 = 2;
+pub const SCHEMA_VERSION: u16 = 4;
 
 const MAGIC: &[u8; 4] = b"FRAC";
+
+/// Bytes a seal adds around the key echo and payload: magic, schema
+/// version and the trailing checksum.
+const SEAL_BYTES: usize = 4 + 2 + 8;
 
 /// Why a cache lookup did not produce a usable entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +75,7 @@ pub enum CacheError {
     Miss,
     /// The entry exists but could not be read.
     Io(String),
-    /// The file does not start with the `FRAC` magic.
+    /// The file does not start with the artifact kind's magic.
     BadMagic,
     /// The entry was written by a different store layout.
     SchemaMismatch {
@@ -92,7 +89,7 @@ pub enum CacheError {
     Truncated,
     /// The trailing checksum does not match the entry bytes.
     BadChecksum,
-    /// A section's bytes do not decode.
+    /// The payload's bytes do not decode.
     Decode(String),
 }
 
@@ -137,35 +134,19 @@ impl CacheError {
 pub struct CachedEntry {
     /// The persisted analysis result.
     pub analysis: FirmwareAnalysis,
-    /// The ExeId stage's handler set, decodable on its own.
-    pub handlers: Vec<HandlerInfo>,
-    /// The FieldId stage's per-message taint digests, decodable on
-    /// their own.
-    pub taint_summaries: Vec<TaintSummary>,
     /// Bytes read from disk for this entry.
     pub bytes: u64,
 }
 
-/// Digest the FieldId stage's artifact out of a finished analysis: one
-/// [`TaintSummary`] per message, in message order (node count of the
-/// originating trace, terminal sources at the MFT leaves).
-pub fn taint_summaries(analysis: &FirmwareAnalysis) -> Vec<TaintSummary> {
-    analysis
-        .messages
-        .iter()
-        .map(|m| TaintSummary {
-            nodes: m.mft.len(),
-            sources: m
-                .mft
-                .leaves()
-                .into_iter()
-                .filter_map(|id| match &m.mft.node(id).kind {
-                    MftNodeKind::Field(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .collect(),
-        })
-        .collect()
+/// The key echo a `.frac` entry carries after its schema field: the
+/// whole [`CacheKey`], 36 bytes.
+fn key_echo(key: &CacheKey) -> Vec<u8> {
+    let mut echo = Vec::with_capacity(36);
+    echo.put_u128_le(key.image);
+    echo.put_u32_le(key.pipeline);
+    echo.put_u64_le(key.config);
+    echo.put_u64_le(key.classifier);
+    echo
 }
 
 /// A content-addressed store of completed firmware analyses.
@@ -242,37 +223,9 @@ impl AnalysisCache {
         &self.dir
     }
 
-    /// The storage policy this store was opened under.
-    pub fn store_policy(&self) -> &StorePolicy {
-        &self.policy
-    }
-
-    /// The directory an artifact named `name` belongs in (the root for a
-    /// flat store, the name's shard subdirectory otherwise).
-    pub(crate) fn artifact_dir(&self, name: &str) -> PathBuf {
-        policy::artifact_dir_in(&self.dir, &self.policy, name)
-    }
-
     /// The full path of an artifact named `name`.
     pub(crate) fn artifact_path(&self, name: &str) -> PathBuf {
-        self.artifact_dir(name).join(name)
-    }
-
-    /// Record a successful artifact read with the eviction accounting.
-    pub(crate) fn note_read_artifact(&self, name: &str) {
-        if let Some(e) = &self.evictor {
-            e.note_read(name);
-        }
-    }
-
-    /// Record an artifact write; runs an eviction pass if the write
-    /// pushed the store over its trigger watermark.
-    pub(crate) fn note_write_artifact(&self, name: &str, bytes: u64) {
-        if let Some(e) = &self.evictor {
-            if e.note_write(name, bytes) {
-                let _ = e.collect(&self.dir);
-            }
-        }
+        policy::artifact_dir_in(&self.dir, &self.policy, name).join(name)
     }
 
     /// Record an artifact deleted outside the GC.
@@ -296,15 +249,6 @@ impl AnalysisCache {
     /// without a byte budget).
     pub fn tracked_bytes(&self) -> Option<u64> {
         self.evictor.as_ref().map(|e| e.total_bytes())
-    }
-
-    /// Pin (or unpin) the image entry for `key`: with
-    /// [`StorePolicy::exempt_pinned`] set, pinned entries are never
-    /// evicted. A no-op without a byte budget.
-    pub fn pin_entry(&self, key: &CacheKey, pinned: bool) {
-        if let Some(e) = &self.evictor {
-            e.set_pinned(&key.file_name(), pinned);
-        }
     }
 
     /// The file path an entry for `key` lives at.
@@ -340,85 +284,38 @@ impl AnalysisCache {
         total
     }
 
-    /// Persist a finished analysis (plus its stage artifacts) under
-    /// `key`. Returns the number of bytes written.
+    /// Persist a finished analysis under `key`. Returns the number of
+    /// bytes written.
     pub fn store(&self, key: &CacheKey, analysis: &FirmwareAnalysis) -> Result<u64, CacheError> {
         let mut encoded = Vec::new();
         put_analysis(&mut encoded, analysis);
-        self.store_encoded(key, analysis, &encoded)
+        self.store_encoded(key, &encoded)
     }
 
     /// [`AnalysisCache::store`] for a caller that already holds the
     /// analysis's [`put_analysis`] encoding (the unit funnel returns it,
     /// and the daemon sends the same bytes as its reply): `encoded`
-    /// becomes the entry's analysis section verbatim, so the analysis is
-    /// encoded once per job rather than once per consumer. `analysis`
-    /// must be what `encoded` decodes to; the handler and taint-summary
-    /// sections are derived from it.
-    pub fn store_encoded(
-        &self,
-        key: &CacheKey,
-        analysis: &FirmwareAnalysis,
-        encoded: &[u8],
-    ) -> Result<u64, CacheError> {
-        let mut out = Vec::with_capacity(4096 + encoded.len());
-        out.put_slice(MAGIC);
-        out.put_u16_le(SCHEMA_VERSION);
-        out.put_u128_le(key.image);
-        out.put_u32_le(key.pipeline);
-        out.put_u64_le(key.config);
-        out.put_u64_le(key.classifier);
-
-        let mut section = Vec::new();
-        section.put_u32_le(analysis.handlers.len() as u32);
-        for h in &analysis.handlers {
-            put_handler(&mut section, h);
-        }
-        put_section(&mut out, &section);
-
-        let summaries = taint_summaries(analysis);
-        let mut section = Vec::new();
-        section.put_u32_le(summaries.len() as u32);
-        for s in &summaries {
-            put_taint_summary(&mut section, s);
-        }
-        put_section(&mut out, &section);
-
-        put_section(&mut out, encoded);
-
-        out.put_u64_le(content_hash_packed(&out));
-
-        let name = key.file_name();
-        write_file_atomic(&self.artifact_dir(&name), &name, &out).map_err(CacheError::Io)?;
-        self.note_write_artifact(&name, out.len() as u64);
-        Ok(out.len() as u64)
+    /// becomes the entry's payload verbatim, so the analysis is encoded
+    /// once per job rather than once per consumer.
+    pub fn store_encoded(&self, key: &CacheKey, encoded: &[u8]) -> Result<u64, CacheError> {
+        self.write_sealed(&key.file_name(), MAGIC, &key_echo(key), encoded)
     }
 
     /// Load and fully decode the entry for `key`.
     pub fn load(&self, key: &CacheKey) -> Result<CachedEntry, CacheError> {
-        let raw = self.read_verified(key)?;
-        let bytes = raw.bytes;
-        let handlers = decode_handlers(&raw.sections[0])?;
-        let taint = decode_taint_summaries(&raw.sections[1])?;
-        let analysis = get_analysis(&mut Reader::new(&raw.sections[2]))?;
+        let echo = key_echo(key);
+        let payload = self.read_sealed(&key.file_name(), MAGIC, &echo)?;
+        let mut r = Reader::new(&payload);
+        let analysis = get_analysis(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(CacheError::Decode(
+                "trailing bytes after the analysis".into(),
+            ));
+        }
         Ok(CachedEntry {
             analysis,
-            handlers,
-            taint_summaries: taint,
-            bytes,
+            bytes: (SEAL_BYTES + echo.len() + payload.len()) as u64,
         })
-    }
-
-    /// Load only the ExeId stage's handler set for `key`.
-    pub fn load_handlers(&self, key: &CacheKey) -> Result<Vec<HandlerInfo>, CacheError> {
-        let raw = self.read_verified(key)?;
-        decode_handlers(&raw.sections[0])
-    }
-
-    /// Load only the FieldId stage's taint summaries for `key`.
-    pub fn load_taint_summaries(&self, key: &CacheKey) -> Result<Vec<TaintSummary>, CacheError> {
-        let raw = self.read_verified(key)?;
-        decode_taint_summaries(&raw.sections[1])
     }
 
     /// Whether an entry file exists for `key` (no validation).
@@ -426,61 +323,87 @@ impl AnalysisCache {
         self.entry_path(key).exists()
     }
 
-    /// Read an entry file and verify magic, schema, key echo and
-    /// checksum, returning the three raw sections.
-    fn read_verified(&self, key: &CacheKey) -> Result<RawEntry, CacheError> {
-        let path = self.entry_path(key);
-        let data = match std::fs::read(&path) {
+    /// Read the sealed artifact `name` and return its payload. The
+    /// checksum is verified first — it covers every other field, so a
+    /// truncated or bit-flipped file is caught before any byte is
+    /// interpreted — then the magic, the exact [`SCHEMA_VERSION`] and
+    /// the key echo. A successful read refreshes the artifact's LRU
+    /// position.
+    pub(crate) fn read_sealed(
+        &self,
+        name: &str,
+        magic: &[u8; 4],
+        echo: &[u8],
+    ) -> Result<Vec<u8>, CacheError> {
+        let mut data = match std::fs::read(self.artifact_path(name)) {
             Ok(d) => d,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CacheError::Miss),
             Err(e) => return Err(CacheError::Io(e.to_string())),
         };
-        // Checksum first: it covers every other field, so a truncated or
-        // bit-flipped entry is caught before any interpretation.
-        if data.len() < MAGIC.len() + 8 {
+        if data.len() < magic.len() + 8 {
             return Err(CacheError::Truncated);
         }
-        let (body, tail) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().unwrap());
+        let body_len = data.len() - 8;
+        let stored = u64::from_le_bytes(data[body_len..].try_into().expect("8-byte trailer"));
+        let body = &data[..body_len];
         if stored != content_hash_packed(body) {
             // A short read and a flipped byte are indistinguishable here;
             // report the more precise condition when the magic is gone.
-            if &body[..MAGIC.len()] != MAGIC {
+            if &body[..magic.len()] != magic {
                 return Err(CacheError::BadMagic);
             }
             return Err(CacheError::BadChecksum);
         }
-        let mut r = Reader::new(body);
-        let magic = [r.u8()?, r.u8()?, r.u8()?, r.u8()?];
-        if &magic != MAGIC {
+        if &body[..magic.len()] != magic {
             return Err(CacheError::BadMagic);
         }
-        let schema = r.u16()?;
-        if !(MIN_READ_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&schema) {
+        let header = magic.len() + 2 + echo.len();
+        let schema = match body.get(magic.len()..magic.len() + 2) {
+            Some(b) => u16::from_le_bytes([b[0], b[1]]),
+            None => return Err(CacheError::Truncated),
+        };
+        if schema != SCHEMA_VERSION {
             return Err(CacheError::SchemaMismatch { found: schema });
         }
-        let echo = CacheKey {
-            image: r.u128()?,
-            pipeline: r.u32()?,
-            config: r.u64()?,
-            classifier: r.u64()?,
-        };
-        if echo != *key {
-            return Err(CacheError::KeyMismatch);
+        match body.get(magic.len() + 2..header) {
+            Some(found) if found == echo => {}
+            Some(_) => return Err(CacheError::KeyMismatch),
+            None => return Err(CacheError::Truncated),
         }
-        let mut sections = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let len = r.u32()? as usize;
-            if len > r.remaining() {
-                return Err(CacheError::Truncated);
+        if let Some(e) = &self.evictor {
+            e.note_read(name);
+        }
+        data.truncate(body_len);
+        data.drain(..header);
+        Ok(data)
+    }
+
+    /// Seal `payload` behind `magic`, the current [`SCHEMA_VERSION`] and
+    /// the key `echo`, write it atomically as artifact `name`, and
+    /// account the write (running an eviction pass if it pushed the
+    /// store over its trigger watermark). Returns the bytes written.
+    pub(crate) fn write_sealed(
+        &self,
+        name: &str,
+        magic: &[u8; 4],
+        echo: &[u8],
+        payload: &[u8],
+    ) -> Result<u64, CacheError> {
+        let mut out = Vec::with_capacity(SEAL_BYTES + echo.len() + payload.len());
+        out.put_slice(magic);
+        out.put_u16_le(SCHEMA_VERSION);
+        out.put_slice(echo);
+        out.put_slice(payload);
+        out.put_u64_le(content_hash_packed(&out));
+        let dir = policy::artifact_dir_in(&self.dir, &self.policy, name);
+        write_file_atomic(&dir, name, &out).map_err(CacheError::Io)?;
+        let bytes = out.len() as u64;
+        if let Some(e) = &self.evictor {
+            if e.note_write(name, bytes) {
+                let _ = e.collect(&self.dir);
             }
-            sections.push(r.bytes(len)?.to_vec());
         }
-        self.note_read_artifact(&key.file_name());
-        Ok(RawEntry {
-            sections,
-            bytes: data.len() as u64,
-        })
+        Ok(bytes)
     }
 }
 
@@ -686,7 +609,7 @@ impl AnalysisCache {
     /// of the store.
     ///
     /// Unlike [`AnalysisCache::stats`] this decodes each entry (the
-    /// counters live in the analysis section), so it is proportional to
+    /// counters live in the analysis payload), so it is proportional to
     /// store size — fine for the `cache-stats` survey, not for hot
     /// paths. Entries that fail to decode (stale schema, damage,
     /// foreign files) are skipped silently: the survey reports what is
@@ -720,11 +643,6 @@ impl AnalysisCache {
         }
         usage
     }
-}
-
-struct RawEntry {
-    sections: Vec<Vec<u8>>,
-    bytes: u64,
 }
 
 /// Delete orphaned write temps in `dir`, returning how many were removed.
@@ -770,31 +688,6 @@ fn temp_writer_pid(name: &str) -> Option<u32> {
     pid.parse().ok()
 }
 
-fn put_section(out: &mut Vec<u8>, section: &[u8]) {
-    out.put_u32_le(section.len() as u32);
-    out.put_slice(section);
-}
-
-fn decode_handlers(bytes: &[u8]) -> Result<Vec<HandlerInfo>, CacheError> {
-    let mut r = Reader::new(bytes);
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_handler(&mut r)?);
-    }
-    Ok(out)
-}
-
-fn decode_taint_summaries(bytes: &[u8]) -> Result<Vec<TaintSummary>, CacheError> {
-    let mut r = Reader::new(bytes);
-    let n = r.seq_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_taint_summary(&mut r)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,17 +717,6 @@ mod tests {
         assert_eq!(entry.analysis.executable, analysis.executable);
         assert_eq!(entry.analysis.messages.len(), analysis.messages.len());
         assert_eq!(entry.analysis.counters, analysis.counters);
-        assert_eq!(entry.handlers.len(), analysis.handlers.len());
-        assert_eq!(entry.taint_summaries.len(), analysis.messages.len());
-        // The sectioned artifacts match their full-analysis counterparts.
-        assert_eq!(
-            cache.load_handlers(&key).unwrap().len(),
-            entry.handlers.len()
-        );
-        assert_eq!(
-            cache.load_taint_summaries(&key).unwrap(),
-            taint_summaries(&analysis)
-        );
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -947,9 +829,9 @@ mod tests {
         let mut expect_current = 0u64;
         let mut expect_stale = 0u64;
         for i in 0..1200u32 {
-            // 1 in 6 entries carries the previous (still servable) schema.
+            // 1 in 6 entries carries the previous (stale) schema.
             let schema = if i % 6 == 5 {
-                MIN_READ_SCHEMA_VERSION
+                SCHEMA_VERSION - 1
             } else {
                 SCHEMA_VERSION
             };
@@ -988,7 +870,7 @@ mod tests {
         assert_eq!(
             stats.by_schema,
             vec![
-                (MIN_READ_SCHEMA_VERSION, expect_stale),
+                (SCHEMA_VERSION - 1, expect_stale),
                 (SCHEMA_VERSION, expect_current),
             ]
         );
@@ -1002,33 +884,29 @@ mod tests {
     }
 
     #[test]
-    fn version_2_entries_remain_servable() {
+    fn only_the_current_schema_is_read() {
         let dev = generate_device(6, 7);
         let config = AnalysisConfig::default();
         let analysis = analyze_firmware(&dev.firmware, None, &config);
-        let cache = AnalysisCache::new(temp_dir("v2read"));
+        let cache = AnalysisCache::new(temp_dir("oldschema"));
         let key = CacheKey::compute(&dev.firmware, None, &config);
         cache.store(&key, &analysis).unwrap();
         let path = cache.entry_path(&key);
-        let mut data = std::fs::read(&path).unwrap();
-        // Re-stamp the entry as schema v2 (identical layout) and re-seal.
-        data[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let body_len = data.len() - 8;
-        let sum = content_hash_packed(&data[..body_len]);
-        data[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &data).unwrap();
-        let entry = cache.load(&key).unwrap();
-        assert_eq!(entry.analysis.messages.len(), analysis.messages.len());
-        // v1 (pre-sectioning) stays rejected.
-        let mut old = std::fs::read(&path).unwrap();
-        old[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let sum = content_hash_packed(&old[..body_len]);
-        old[body_len..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &old).unwrap();
-        assert_eq!(
-            cache.load(&key).unwrap_err(),
-            CacheError::SchemaMismatch { found: 1 }
-        );
+        let good = std::fs::read(&path).unwrap();
+        assert_eq!(good[4..6], SCHEMA_VERSION.to_le_bytes());
+        // Every older stamp, resealed, is a schema mismatch.
+        for found in 1..SCHEMA_VERSION {
+            let mut old = good.clone();
+            old[4..6].copy_from_slice(&found.to_le_bytes());
+            let body_len = old.len() - 8;
+            let sum = content_hash_packed(&old[..body_len]);
+            old[body_len..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&path, &old).unwrap();
+            assert_eq!(
+                cache.load(&key).unwrap_err(),
+                CacheError::SchemaMismatch { found }
+            );
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
@@ -1156,7 +1034,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_is_lru_and_respects_pins() {
+    fn eviction_is_lru() {
         let dir = temp_dir("evict-lru");
         let config = AnalysisConfig::default();
         // Probe the actual size of each entry so the budget is exactly
@@ -1195,16 +1073,6 @@ mod tests {
         assert!(cache.contains(&keys[0]), "recently read entry survives");
         assert!(!cache.contains(&keys[1]), "least-recently-used is evicted");
         assert!(cache.contains(&keys[2]), "freshest write survives");
-
-        // Pin the survivor and overflow again: the pin holds.
-        cache.pin_entry(&keys[0], true);
-        for id in [14u8, 21] {
-            let dev = generate_device(id, 7);
-            let analysis = analyze_firmware(&dev.firmware, None, &config);
-            let key = CacheKey::compute(&dev.firmware, None, &config);
-            cache.store(&key, &analysis).unwrap();
-        }
-        assert!(cache.contains(&keys[0]), "pinned entry is exempt");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

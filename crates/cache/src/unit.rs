@@ -26,6 +26,13 @@
 //!   candidate, and its scored handlers. An update that does not touch an
 //!   executable replays its verdict instead of re-probing it.
 //!
+//! Both kinds are sealed exactly like an image entry, by the store's one
+//! sealed reader and writer: magic (`FRUB` / `FRVD`), the shared
+//! [`SCHEMA_VERSION`], the artifact's 16-byte u128 key as the echo, the
+//! payload, and an FNV-64 checksum. Any damage is a typed [`CacheError`]
+//! that the funnel diagnoses and treats as an absent artifact. Both
+//! kinds appeared at schema v3; at v4 only the schema field changed.
+//!
 //! # The dirty-closure rule
 //!
 //! A stored unit is reused iff its identity *and* its inputs are intact:
@@ -61,6 +68,8 @@
 //! caller's observer and [`UnitStats`] — never folded into the analysis
 //! itself.
 //!
+//! [`SCHEMA_VERSION`]: crate::SCHEMA_VERSION
+//! [`CacheError`]: crate::CacheError
 //! [`function_content_hash`]: firmres_ir::function_content_hash
 //! [`caller_edges_hash`]: firmres_ir::caller_edges_hash
 //! [`merge_unit_event_streams`]: firmres::stages::merge_unit_event_streams
@@ -71,7 +80,7 @@ use crate::codec::{
     put_unit_events, DecodeError, Reader,
 };
 use crate::key::{classifier_fingerprint, config_fingerprint, PIPELINE_VERSION};
-use crate::store::AnalysisCache;
+use crate::store::{AnalysisCache, CacheError};
 use firmres::stages::{
     best_handler_score, enumerate_units, merge_unit_event_streams, probe_executable,
     rank_candidates, run_message_unit, AnalysisContext, ChosenExecutable, MessageUnit, TraceKey,
@@ -82,7 +91,7 @@ use firmres::{
     Severity, StageEvents, StageKind,
 };
 use firmres_dataflow::{TaintEngine, TraceDeps};
-use firmres_firmware::{content_hash_packed, FirmwareImage};
+use firmres_firmware::FirmwareImage;
 use firmres_ir::{
     caller_edges_hash, function_content_hash, program_context_hash, Address, CallGraph, Fnv128,
     Program,
@@ -90,7 +99,6 @@ use firmres_ir::{
 use firmres_mft::SliceRenderer;
 use firmres_semantics::Classifier;
 use std::collections::BTreeMap;
-use std::path::Path;
 
 /// Unit-granular cache traffic of one funnel run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -292,58 +300,11 @@ fn get_bank_entry(r: &mut Reader) -> Result<(u128, BankEntry), DecodeError> {
     ))
 }
 
-/// Read and verify an artifact file: magic, schema, key echo, checksum.
-/// `Ok(None)` is the silent no-file case; `Err` names the damage.
-fn read_artifact(path: &Path, magic: &[u8; 4], key: u128) -> Result<Option<Vec<u8>>, DecodeError> {
-    let data = match std::fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(DecodeError(format!("read failed: {e}"))),
-    };
-    if data.len() < magic.len() + 8 {
-        return Err(DecodeError("artifact truncated".into()));
-    }
-    let (body, tail) = data.split_at(data.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("split_at leaves 8 bytes"));
-    if stored != content_hash_packed(body) {
-        return Err(DecodeError("artifact checksum mismatch".into()));
-    }
-    let mut r = Reader::new(body);
-    if r.bytes(4)? != magic {
-        return Err(DecodeError("artifact has wrong magic".into()));
-    }
-    let schema = r.u16()?;
-    if schema != crate::store::SCHEMA_VERSION {
-        return Err(DecodeError(format!(
-            "artifact schema v{schema} unsupported"
-        )));
-    }
-    if r.u128()? != key {
-        return Err(DecodeError("artifact key echo mismatch".into()));
-    }
-    Ok(Some(body[body.len() - r.remaining()..].to_vec()))
-}
-
-fn seal_artifact(magic: &[u8; 4], key: u128, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 30);
-    out.put_slice(magic);
-    out.put_u16_le(crate::store::SCHEMA_VERSION);
-    out.put_u128_le(key);
-    out.put_slice(payload);
-    out.put_u64_le(content_hash_packed(&out));
-    out
-}
-
 /// A decoded bank: entries by locator, plus the payload byte count read.
 type BankContents = (BTreeMap<u128, BankEntry>, u64);
 
-fn read_bank(cache: &AnalysisCache, key: u128) -> Result<Option<BankContents>, DecodeError> {
-    let name = bank_name(key);
-    let Some(payload) = read_artifact(&cache.artifact_path(&name), BANK_MAGIC, key)? else {
-        return Ok(None);
-    };
-    cache.note_read_artifact(&name);
-    let bytes = payload.len() as u64;
+fn read_bank(cache: &AnalysisCache, key: u128) -> Result<BankContents, CacheError> {
+    let payload = cache.read_sealed(&bank_name(key), BANK_MAGIC, &key.to_le_bytes())?;
     let mut r = Reader::new(&payload);
     let n = r.seq_len()?;
     let mut entries = BTreeMap::new();
@@ -351,34 +312,24 @@ fn read_bank(cache: &AnalysisCache, key: u128) -> Result<Option<BankContents>, D
         let (locator, entry) = get_bank_entry(&mut r)?;
         entries.insert(locator, entry);
     }
-    Ok(Some((entries, bytes)))
+    Ok((entries, payload.len() as u64))
 }
 
 fn write_bank(
     cache: &AnalysisCache,
     key: u128,
     entries: &[(u128, BankEntry)],
-) -> Result<u64, String> {
+) -> Result<u64, CacheError> {
     let mut payload = Vec::new();
     payload.put_u32_le(entries.len() as u32);
     for (locator, e) in entries {
         put_bank_entry(&mut payload, *locator, e);
     }
-    let sealed = seal_artifact(BANK_MAGIC, key, &payload);
-    let len = sealed.len() as u64;
-    let name = bank_name(key);
-    crate::store::write_file_atomic(&cache.artifact_dir(&name), &name, &sealed)?;
-    cache.note_write_artifact(&name, len);
-    Ok(len)
+    cache.write_sealed(&bank_name(key), BANK_MAGIC, &key.to_le_bytes(), &payload)
 }
 
-fn read_verdict(cache: &AnalysisCache, key: u128) -> Result<Option<(Verdict, u64)>, DecodeError> {
-    let name = verdict_name(key);
-    let Some(payload) = read_artifact(&cache.artifact_path(&name), VERDICT_MAGIC, key)? else {
-        return Ok(None);
-    };
-    cache.note_read_artifact(&name);
-    let bytes = payload.len() as u64;
+fn read_verdict(cache: &AnalysisCache, key: u128) -> Result<(Verdict, u64), CacheError> {
+    let payload = cache.read_sealed(&verdict_name(key), VERDICT_MAGIC, &key.to_le_bytes())?;
     let mut r = Reader::new(&payload);
     let events = get_stage_events(&mut r)?;
     let qualified = r.boolean()?;
@@ -387,17 +338,15 @@ fn read_verdict(cache: &AnalysisCache, key: u128) -> Result<Option<(Verdict, u64
     for _ in 0..n {
         handlers.push(get_handler(&mut r)?);
     }
-    Ok(Some((
-        Verdict {
-            events,
-            qualified,
-            handlers,
-        },
-        bytes,
-    )))
+    let verdict = Verdict {
+        events,
+        qualified,
+        handlers,
+    };
+    Ok((verdict, payload.len() as u64))
 }
 
-fn write_verdict(cache: &AnalysisCache, key: u128, v: &Verdict) -> Result<u64, String> {
+fn write_verdict(cache: &AnalysisCache, key: u128, v: &Verdict) -> Result<u64, CacheError> {
     let mut payload = Vec::new();
     put_stage_events(&mut payload, &v.events);
     payload.put_u8(v.qualified as u8);
@@ -405,12 +354,12 @@ fn write_verdict(cache: &AnalysisCache, key: u128, v: &Verdict) -> Result<u64, S
     for h in &v.handlers {
         put_handler(&mut payload, h);
     }
-    let sealed = seal_artifact(VERDICT_MAGIC, key, &payload);
-    let len = sealed.len() as u64;
-    let name = verdict_name(key);
-    crate::store::write_file_atomic(&cache.artifact_dir(&name), &name, &sealed)?;
-    cache.note_write_artifact(&name, len);
-    Ok(len)
+    cache.write_sealed(
+        &verdict_name(key),
+        VERDICT_MAGIC,
+        &key.to_le_bytes(),
+        &payload,
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -506,21 +455,19 @@ pub fn analyze_image_units_incremental(
         .map(|(path, bytes)| {
             let key = verdict_key(fw, path, bytes, config_fp);
             let found = match read_verdict(cache, key) {
-                Ok(Some((v, bytes_read))) => {
+                Ok((v, bytes_read)) => {
                     stats.verdict_hits += 1;
                     stats.bytes_read += bytes_read;
                     Some(v)
                 }
-                Ok(None) => {
-                    stats.verdict_misses += 1;
-                    None
-                }
                 Err(e) => {
                     stats.verdict_misses += 1;
-                    cache_diags.push(cache_diag(
-                        format!("{key:032x}.frv"),
-                        format!("verdict unusable, re-probing: {}", e.0),
-                    ));
+                    if !e.is_miss() {
+                        cache_diags.push(cache_diag(
+                            verdict_name(key),
+                            format!("verdict unusable, re-probing: {e}"),
+                        ));
+                    }
                     None
                 }
             };
@@ -561,7 +508,7 @@ pub fn analyze_image_units_incremental(
                     match write_verdict(cache, key, &verdict) {
                         Ok(written) => stats.bytes_written += written,
                         Err(e) => cache_diags.push(cache_diag(
-                            format!("{key:032x}.frv"),
+                            verdict_name(key),
                             format!("verdict write failed: {e}"),
                         )),
                     }
@@ -654,16 +601,17 @@ pub fn analyze_image_units_incremental(
     let graph = program.call_graph();
     let bank = bank_key(fw, &winner.path, config_fp, classifier_fp);
     let mut stored = match read_bank(cache, bank) {
-        Ok(Some((entries, bytes_read))) => {
+        Ok((entries, bytes_read)) => {
             stats.bytes_read += bytes_read;
             entries
         }
-        Ok(None) => BTreeMap::new(),
         Err(e) => {
-            cache_diags.push(cache_diag(
-                format!("{bank:032x}.fru"),
-                format!("bank unusable, re-running all units: {}", e.0),
-            ));
+            if !e.is_miss() {
+                cache_diags.push(cache_diag(
+                    bank_name(bank),
+                    format!("bank unusable, re-running all units: {e}"),
+                ));
+            }
             BTreeMap::new()
         }
     };
@@ -767,7 +715,7 @@ pub fn analyze_image_units_incremental(
         match write_bank(cache, bank, &entries) {
             Ok(written) => stats.bytes_written += written,
             Err(e) => cache_diags.push(cache_diag(
-                format!("{bank:032x}.fru"),
+                bank_name(bank),
                 format!("bank write failed: {e}"),
             )),
         }
@@ -811,6 +759,7 @@ mod tests {
     use crate::codec::get_analysis;
     use firmres::{analyze_firmware, FirmwareAnalysis, NullObserver};
     use firmres_corpus::generate_device;
+    use firmres_firmware::content_hash_packed;
     use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -892,66 +841,80 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
+    /// Rewrite every `.fru`/`.frv` file in the store through `damage`.
+    fn damage_unit_artifacts(cache: &AnalysisCache, damage: impl Fn(&mut Vec<u8>)) {
+        for entry in std::fs::read_dir(cache.dir()).unwrap() {
+            let path = entry.unwrap().path();
+            if let Some("fru" | "frv") = path.extension().and_then(|e| e.to_str()) {
+                let mut data = std::fs::read(&path).unwrap();
+                damage(&mut data);
+                std::fs::write(&path, &data).unwrap();
+            }
+        }
+    }
+
     #[test]
     fn hostile_artifacts_degrade_to_cold_run_with_cache_diagnostic() {
         let cache = AnalysisCache::new(temp_dir("hostile"));
         let dev = generate_device(10, 7);
         let (cold, _) = funnel(&dev.firmware, &cache, 1);
 
-        // Mangle every unit artifact in the store.
-        for entry in std::fs::read_dir(cache.dir()).unwrap() {
-            let path = entry.unwrap().path();
-            let ext = path.extension().and_then(|e| e.to_str());
-            if let Some("fru" | "frv") = ext {
-                let mut data = std::fs::read(&path).unwrap();
+        // Each damage hits every unit artifact in the store; the run it
+        // degrades rewrites them, so the next damage starts from fresh
+        // current-schema files.
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [(&str, Damage); 3] = [
+            ("byte flip", |data| {
                 let mid = data.len() / 2;
                 data[mid] ^= 0xFF;
-                std::fs::write(&path, &data).unwrap();
-            }
+            }),
+            // Checksum gone.
+            ("truncation", |data| data.truncate(data.len().min(9))),
+            // Only the stamp is wrong: an artifact from before the
+            // schema bump, resealed so the checksum still holds.
+            ("v3 stamp, resealed", |data| {
+                data[4..6].copy_from_slice(&3u16.to_le_bytes());
+                let body_len = data.len() - 8;
+                let sum = content_hash_packed(&data[..body_len]);
+                data[body_len..].copy_from_slice(&sum.to_le_bytes());
+            }),
+        ];
+        for (what, damage) in damages {
+            damage_unit_artifacts(&cache, damage);
+            let mut obs = firmres::CollectingObserver::default();
+            let out = analyze_image_units_incremental(
+                &dev.firmware,
+                None,
+                &AnalysisConfig::default(),
+                1,
+                &cache,
+                &mut obs,
+                None,
+            )
+            .unwrap();
+            assert_eq!(
+                out.stats.unit_hits, 0,
+                "{what}: damaged bank serves nothing"
+            );
+            assert_eq!(out.stats.verdict_hits, 0, "{what}");
+            assert!(
+                obs.diagnostics
+                    .iter()
+                    .any(|d| d.stage == StageKind::Cache && d.severity == Severity::Warning),
+                "{what}: damage is diagnosed: {:?}",
+                obs.diagnostics
+            );
+            // The analysis itself is unperturbed by cache damage.
+            assert_eq!(normalized(&cold), normalized(&out.bytes), "{what}");
+            let decoded = get_analysis(&mut Reader::new(&out.bytes)).unwrap();
+            assert!(
+                decoded
+                    .diagnostics
+                    .iter()
+                    .all(|d| d.stage != StageKind::Cache),
+                "{what}: cache diagnostics never leak into the analysis"
+            );
         }
-        let mut obs = firmres::CollectingObserver::default();
-        let out = analyze_image_units_incremental(
-            &dev.firmware,
-            None,
-            &AnalysisConfig::default(),
-            1,
-            &cache,
-            &mut obs,
-            None,
-        )
-        .unwrap();
-        assert_eq!(out.stats.unit_hits, 0, "damaged bank serves nothing");
-        assert_eq!(out.stats.verdict_hits, 0);
-        assert!(
-            obs.diagnostics
-                .iter()
-                .any(|d| d.stage == StageKind::Cache && d.severity == Severity::Warning),
-            "damage is diagnosed: {:?}",
-            obs.diagnostics
-        );
-        // The analysis itself is unperturbed by cache damage.
-        assert_eq!(normalized(&cold), normalized(&out.bytes));
-        let decoded = get_analysis(&mut Reader::new(&out.bytes)).unwrap();
-        assert!(
-            decoded
-                .diagnostics
-                .iter()
-                .all(|d| d.stage != StageKind::Cache),
-            "cache diagnostics never leak into the analysis"
-        );
-
-        // Truncated artifacts (checksum gone) likewise never panic.
-        for entry in std::fs::read_dir(cache.dir()).unwrap() {
-            let path = entry.unwrap().path();
-            let ext = path.extension().and_then(|e| e.to_str());
-            if let Some("fru" | "frv") = ext {
-                let data = std::fs::read(&path).unwrap();
-                std::fs::write(&path, &data[..data.len().min(9)]).unwrap();
-            }
-        }
-        let (bytes, stats) = funnel(&dev.firmware, &cache, 1);
-        assert_eq!(stats.unit_hits, 0);
-        assert_eq!(normalized(&cold), normalized(&bytes));
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

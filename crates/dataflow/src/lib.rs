@@ -63,5 +63,5 @@ pub use summary::{
 };
 pub use taint::{
     intern_unresolved_reason, FieldSource, TaintConfig, TaintEngine, TaintNode, TaintNodeId,
-    TaintNodeKind, TaintSummary, TaintTree, Trace, TraceDeps, UNRESOLVED_REASONS,
+    TaintNodeKind, TaintTree, Trace, TraceDeps, UNRESOLVED_REASONS,
 };

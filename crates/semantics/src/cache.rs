@@ -2,12 +2,12 @@
 //!
 //! Third-party component reuse means the same delivery wrappers render
 //! byte-identical slices across many firmware images, so a memo scoped
-//! to one image (the PR 5 [`crate::SliceClassifier`]) still re-classifies
-//! the same text once per device. [`ClassCache`] lifts that memo to the
-//! corpus: a fixed array of `Mutex<HashMap>` shards keyed by FNV-128 of
-//! the slice text, resolved by full-text comparison — the same
-//! hash-narrows/bytes-confirm discipline as the FRAC store — and safe to
-//! share across worker threads, images, and service requests.
+//! to one image would still re-classify the same text once per device.
+//! [`ClassCache`] keeps its memo at corpus scope: a fixed array of
+//! `Mutex<HashMap>` shards keyed by FNV-128 of the slice text, resolved
+//! by full-text comparison — the same hash-narrows/bytes-confirm
+//! discipline as the FRAC store — and safe to share across worker
+//! threads, images, and service requests.
 //!
 //! The cache affects *cost only, never labels*: a stored label is
 //! exactly what the model (or the weak labeler) computes for that text,

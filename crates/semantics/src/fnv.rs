@@ -1,42 +1,10 @@
-//! A minimal FNV-1a hasher for the crate's internal lookup tables.
+//! The FNV-1a 128-bit hash keying the corpus-wide class cache.
 //!
 //! The semantics crate is deliberately dependency-light, so it carries
-//! its own copy of this ~20-line hasher instead of pulling one in. The
-//! keys hashed here (tokens, slice texts) come from the firmware image
-//! under analysis, not from untrusted network peers, so the cheap
-//! non-keyed hash is appropriate — and it is measurably faster than the
-//! standard library's SipHash on the short strings the hot classify
-//! loop looks up in bulk.
-
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// FNV-1a over the written bytes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-}
-
-/// `BuildHasher` for [`FnvHasher`], for map type parameters.
-pub(crate) type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
+//! its own copy of this ~10-line hash instead of pulling one in. The
+//! keys hashed here (slice texts) come from the firmware image under
+//! analysis, not from untrusted network peers, so the cheap non-keyed
+//! hash is appropriate.
 
 /// FNV-1a over 128 bits, for keys where the 64-bit variant's collision
 /// probability is no longer comfortable (the corpus-wide class cache

@@ -37,7 +37,6 @@ mod cache;
 mod dataset;
 mod fnv;
 mod label;
-mod memo;
 mod model;
 mod persist;
 mod token;
@@ -45,7 +44,6 @@ mod token;
 pub use cache::{ClassCache, ClassCacheStats};
 pub use dataset::{split_dataset, DatasetSplit};
 pub use label::{weak_label, weak_label_streamed, weak_label_with_report, KeywordHit};
-pub use memo::SliceClassifier;
 pub use model::{BatchOutcome, Classifier, TrainConfig, TrainReport};
 pub use persist::ModelError;
 pub use token::{featurize, for_each_token, tokenize, FEATURE_DIM};

@@ -9,14 +9,13 @@
 //! columns are exactly zero across every class, and an index map lets
 //! the dot products touch only live columns.
 //!
-//! Every inference entry point — [`Classifier::predict`],
-//! [`Classifier::predict_batch`], the memo path's feature-vector
-//! variant — goes through one shared raw-score kernel over that
-//! sparsified form and takes its label as the argmax of the *raw*
-//! scores. Softmax is strictly monotone, so this is provably the same
-//! label the probability vector yields, computed without any `exp`;
-//! sharing the kernel means every path performs the identical sequence
-//! of float operations and can never diverge on ties.
+//! Both inference entry points — [`Classifier::predict`] and
+//! [`Classifier::predict_batch`] — go through one shared raw-score
+//! kernel over that sparsified form and take their label as the argmax
+//! of the *raw* scores. Softmax is strictly monotone, so this is
+//! provably the same label the probability vector yields, computed
+//! without any `exp`; sharing the kernel means both paths perform the
+//! identical sequence of float operations and can never diverge on ties.
 
 use crate::token::{featurize, tokenize, Featurizer, FEATURE_DIM};
 use crate::Primitive;
@@ -331,15 +330,6 @@ impl Classifier {
             labels,
             prefilter_skips,
         }
-    }
-
-    /// [`Classifier::predict`] label from an already-built feature
-    /// vector, for the memoizing cold path (which featurizes into a
-    /// reusable buffer instead of per-call allocations).
-    pub(crate) fn predict_features(&self, fv: &[(usize, f32)]) -> Primitive {
-        let mut scores = Vec::with_capacity(self.n_classes);
-        self.raw_scores(fv, &mut scores);
-        Primitive::from_index(argmax(&scores)).expect("valid index")
     }
 
     /// Accuracy on labeled data.

@@ -20,7 +20,6 @@
 //! byte_budget = 512M   # eviction budget ("none" = unbounded)
 //! high_watermark = 1.0 # GC trigger, as a fraction of the budget
 //! low_watermark = 0.85 # GC target, as a fraction of the budget
-//! exempt_pinned = true # pinned entries survive collection
 //! class_cache_entries = 1048576 # in-memory slice-classification
 //!                      # cache budget ("none" = unbounded)
 //!
@@ -217,7 +216,6 @@ mod tests {
             byte_budget = 2M\n\
             high_watermark = 0.95\n\
             low_watermark = 0.8\n\
-            exempt_pinned = false\n\
             class_cache_entries = 4096\n";
         let cfg = ServiceConfig::parse(text).expect("full config parses");
         assert_eq!(cfg.libid_index, None);
@@ -229,7 +227,6 @@ mod tests {
         assert_eq!(cfg.retry_after_ms, 100);
         assert_eq!(cfg.store.shards, 8);
         assert_eq!(cfg.store.byte_budget, Some(2 << 20));
-        assert!(!cfg.store.exempt_pinned);
         assert_eq!(cfg.store.class_cache_entries, 4096);
     }
 

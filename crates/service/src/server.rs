@@ -467,7 +467,7 @@ fn run_job(shared: &Shared, mut job: Job) {
     let classifier = shared.classifier.as_ref();
     // The analysis, plus its `put_analysis` encoding when the unit
     // funnel already produced it: those bytes are the reply payload and
-    // the store's analysis section as they stand.
+    // the store entry's payload as they stand.
     let outcome = match FirmwareImage::unpack(&job.packed) {
         Ok(fw) => {
             let reply = job.reply.clone();
@@ -502,8 +502,8 @@ fn run_job(shared: &Shared, mut job: Job) {
                         .fetch_add(out.stats.unit_hits, Ordering::Relaxed);
                     c.unit_misses
                         .fetch_add(out.stats.unit_misses, Ordering::Relaxed);
-                    // Decoded once for the counters, handlers and
-                    // taint summaries; the bytes themselves are reused.
+                    // Decoded once for the counters; the bytes
+                    // themselves are the reply and the store entry.
                     get_analysis(&mut Reader::new(&out.bytes))
                         .ok()
                         .map(|analysis| (analysis, Some(out.bytes)))
@@ -557,7 +557,7 @@ fn run_job(shared: &Shared, mut job: Job) {
                 let key = CacheKey::of_packed(&job.packed, classifier, &job.config);
                 // A full store or unwritable directory degrades the
                 // cache, not the response.
-                let _ = cache.store_encoded(&key, &analysis, &payload);
+                let _ = cache.store_encoded(&key, &payload);
             }
             shared.counters.cache_misses.fetch_add(1, Ordering::Relaxed);
             shared.counters.jobs_served.fetch_add(1, Ordering::Relaxed);

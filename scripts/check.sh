@@ -25,11 +25,17 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Hash the committed bench artifacts now and verify them last: no gate
+# may rewrite a BENCH_*.json file.
+sha256sum BENCH_*.json > "$smoke_dir/bench.sha256"
+
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every member crate's unit and integration tests, not only the root
+# package's (a bare `cargo test` at the root skips crates/*/tests).
+cargo test -q --workspace
 
 echo "==> benchmark build (perfbench against the current crate APIs)"
 # perfbench is a separate workspace with path dependencies on crates/*:
@@ -97,7 +103,15 @@ grep -q 'batch-classified' "$smoke_dir/cold.txt"
 cli analyze "$smoke_dir/dev14.fwi" --cache "$smoke_dir/cache" > "$smoke_dir/warm.txt"
 grep -q 'hit — pipeline skipped' "$smoke_dir/warm.txt"
 cmp <(tail -n +2 "$smoke_dir/cold.txt") <(tail -n +2 "$smoke_dir/warm.txt")
-cli cache-stats "$smoke_dir/cache" | grep -q '1 entry'
+cli cache-stats "$smoke_dir/cache" > "$smoke_dir/cache-stats.txt"
+grep -q '1 entry' "$smoke_dir/cache-stats.txt"
+# The entry was just written, so it is at the current schema; a stale
+# one would mean the writer and the survey disagree on SCHEMA_VERSION.
+grep -q '(current)' "$smoke_dir/cache-stats.txt"
+if grep -q '(stale)' "$smoke_dir/cache-stats.txt"; then
+  echo "cache-stats reports a stale-schema entry" >&2
+  exit 1
+fi
 
 echo "==> service smoke (serve → submit → byte-compare → drain)"
 # A local analyze is the ground truth the daemon must reproduce exactly.
@@ -254,5 +268,8 @@ cargo test --release -q --test service_end_to_end
 
 echo "==> service cold/warm bench"
 cargo run --release -q -p firmres-bench --bin service_bench "$smoke_dir/BENCH_service.json"
+
+echo "==> committed bench artifacts untouched"
+sha256sum --check --quiet "$smoke_dir/bench.sha256"
 
 echo "==> all checks passed"

@@ -5,10 +5,12 @@ use firmres::{
     analyze_firmware, analyze_packed, try_analyze_firmware, try_analyze_packed, AnalysisConfig,
     Counter, Error, Severity, StageKind,
 };
+use firmres_cache::codec;
 use firmres_cloud::{HttpRequest, ResponseStatus};
 use firmres_corpus::generate_device;
 use firmres_firmware::{FileEntry, FirmwareImage};
 use firmres_isa::Executable;
+use firmres_mft::MftNodeKind;
 
 /// Bit-flip every byte of a packed firmware image, one at a time (sampled
 /// for speed), and confirm unpacking reports corruption.
@@ -246,7 +248,7 @@ fn emulator_faults_do_not_poison_subsequent_runs() {
 #[test]
 fn corrupted_cache_entry_falls_back_to_reanalysis() {
     use firmres::{CollectingObserver, Counter};
-    use firmres_cache::{analyze_corpus_incremental, AnalysisCache, CacheKey};
+    use firmres_cache::{analyze_corpus_incremental, AnalysisCache, CacheKey, SCHEMA_VERSION};
 
     let dev = generate_device(10, 7);
     let config = AnalysisConfig::default();
@@ -255,48 +257,124 @@ fn corrupted_cache_entry_falls_back_to_reanalysis() {
     let cache = AnalysisCache::new(&dir);
     let image = &dev.firmware;
 
-    // Populate, then damage the entry on disk.
+    // Populate, then damage the entry on disk: once by truncation, once
+    // by replacing it with what a v3 store wrote for the same key.
     let cold = analyze_corpus_incremental(&[image], None, &config, 1, &cache, &mut obs());
     let key = CacheKey::compute(image, None, &config);
     let path = cache.entry_path(&key);
     let good = std::fs::read(&path).unwrap();
-    std::fs::write(&path, &good[..good.len() / 3]).unwrap();
+    let damages = [
+        ("truncated", good[..good.len() / 3].to_vec(), "checksum"),
+        (
+            "v3 layout",
+            v3_entry(&key, &cold.analyses[0]),
+            "schema v3 does not match",
+        ),
+    ];
+    for (what, damaged, why) in damages {
+        std::fs::write(&path, &damaged).unwrap();
 
-    // The damaged entry is not fatal: the image is re-analyzed and the
-    // result matches the cold run, carrying one extra cache diagnostic.
-    let mut observer = obs();
-    let fallback = analyze_corpus_incremental(&[image], None, &config, 1, &cache, &mut observer);
-    assert_eq!(fallback.stats.misses, 1);
-    assert_eq!(fallback.stats.corrupt, 1);
-    assert_eq!(observer.counters.get(Counter::CacheMisses), 1);
-    let a = &fallback.analyses[0];
-    assert_eq!(a.executable, cold.analyses[0].executable);
-    assert_eq!(a.messages.len(), cold.analyses[0].messages.len());
-    let cache_diags: Vec<_> = a
-        .diagnostics
-        .iter()
-        .filter(|d| d.stage == StageKind::Cache && d.severity == Severity::Warning)
-        .collect();
-    assert_eq!(
-        cache_diags.len(),
-        1,
-        "the damaged entry is diagnosed: {:?}",
-        a.diagnostics
-    );
-    assert!(cache_diags[0].detail.contains("re-analyzing"));
+        // The damaged entry is not fatal: the image is re-analyzed and
+        // the result matches the cold run, carrying one extra cache
+        // diagnostic.
+        let mut observer = obs();
+        let fallback =
+            analyze_corpus_incremental(&[image], None, &config, 1, &cache, &mut observer);
+        assert_eq!(fallback.stats.misses, 1, "{what}");
+        assert_eq!(fallback.stats.corrupt, 1, "{what}");
+        assert_eq!(observer.counters.get(Counter::CacheMisses), 1, "{what}");
+        let a = &fallback.analyses[0];
+        assert_eq!(a.executable, cold.analyses[0].executable, "{what}");
+        assert_eq!(
+            canonical(a),
+            canonical(&cold.analyses[0]),
+            "{what}: re-analysis differs from the cold run"
+        );
+        let cache_diags: Vec<_> = a
+            .diagnostics
+            .iter()
+            .filter(|d| d.stage == StageKind::Cache && d.severity == Severity::Warning)
+            .collect();
+        assert_eq!(
+            cache_diags.len(),
+            1,
+            "{what}: the damaged entry is diagnosed: {:?}",
+            a.diagnostics
+        );
+        let detail = &cache_diags[0].detail;
+        assert!(detail.contains("re-analyzing"), "{what}: {detail}");
+        assert!(detail.contains(why), "{what}: {detail}");
 
-    // The fallback overwrote the damaged entry; the next run hits again
-    // and the stored result carries no cache diagnostics.
-    let warm = analyze_corpus_incremental(&[image], None, &config, 1, &cache, &mut obs());
-    assert_eq!(warm.stats.hits, 1);
-    assert!(warm.analyses[0]
-        .diagnostics
-        .iter()
-        .all(|d| d.stage != StageKind::Cache));
+        // The fallback overwrote the damaged entry in place; the next
+        // run hits again and the stored result carries no cache
+        // diagnostics.
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(rewritten[4..6], SCHEMA_VERSION.to_le_bytes(), "{what}");
+        let warm = analyze_corpus_incremental(&[image], None, &config, 1, &cache, &mut obs());
+        assert_eq!(warm.stats.hits, 1, "{what}");
+        assert!(warm.analyses[0]
+            .diagnostics
+            .iter()
+            .all(|d| d.stage != StageKind::Cache));
+    }
     let _ = std::fs::remove_dir_all(&dir);
 
     fn obs() -> CollectingObserver {
         CollectingObserver::default()
+    }
+
+    /// The analysis encoding without timings and cache diagnostics.
+    fn canonical(a: &firmres::FirmwareAnalysis) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::put_analysis(&mut out, a);
+        let mut a = codec::get_analysis(&mut codec::Reader::new(&out)).unwrap();
+        a.timings = Default::default();
+        a.diagnostics.retain(|d| d.stage != StageKind::Cache);
+        let mut out = Vec::new();
+        codec::put_analysis(&mut out, &a);
+        out
+    }
+
+    /// What a schema-v3 store wrote for `analysis` under `key`: the same
+    /// header and key echo, then three length-prefixed sections (the
+    /// handlers, one taint summary per message, the analysis) and a
+    /// valid checksum over all of it.
+    fn v3_entry(key: &CacheKey, analysis: &firmres::FirmwareAnalysis) -> Vec<u8> {
+        let mut handlers = (analysis.handlers.len() as u32).to_le_bytes().to_vec();
+        for h in &analysis.handlers {
+            codec::put_handler(&mut handlers, h);
+        }
+        let mut summaries = (analysis.messages.len() as u32).to_le_bytes().to_vec();
+        for m in &analysis.messages {
+            let leaves = m.mft.leaves();
+            let sources: Vec<_> = leaves
+                .iter()
+                .filter_map(|&id| match &m.mft.node(id).kind {
+                    MftNodeKind::Field(s) => Some(s),
+                    _ => None,
+                })
+                .collect();
+            summaries.extend((m.mft.len() as u64).to_le_bytes());
+            summaries.extend((sources.len() as u32).to_le_bytes());
+            for s in sources {
+                codec::put_field_source(&mut summaries, s);
+            }
+        }
+        let mut encoded = Vec::new();
+        codec::put_analysis(&mut encoded, analysis);
+        let mut out = b"FRAC".to_vec();
+        out.extend(3u16.to_le_bytes());
+        out.extend(key.image.to_le_bytes());
+        out.extend(key.pipeline.to_le_bytes());
+        out.extend(key.config.to_le_bytes());
+        out.extend(key.classifier.to_le_bytes());
+        for section in [handlers, summaries, encoded] {
+            out.extend((section.len() as u32).to_le_bytes());
+            out.extend(section);
+        }
+        let sum = firmres_firmware::content_hash_packed(&out);
+        out.extend(sum.to_le_bytes());
+        out
     }
 }
 

@@ -11,7 +11,10 @@
 //!   fingerprints of real corpus analyses with their timings zeroed;
 //! * one length-prefixed `Response::Event` frame per `StageKind` (started
 //!   and finished), per `Counter` and per `Severity` (a diagnostic with
-//!   and one without a subject).
+//!   and one without a subject);
+//! * the `.frac` store entry of the hand-built analysis under a fixed
+//!   key, and its layout: magic, schema, key echo, the `put_analysis`
+//!   bytes, checksum.
 
 use firmres::Event;
 use firmres::{
@@ -19,7 +22,9 @@ use firmres::{
     StageCounters, StageKind, StageTimings,
 };
 use firmres_cache::codec::{get_analysis, put_analysis, Reader};
+use firmres_cache::{AnalysisCache, CacheKey, SCHEMA_VERSION};
 use firmres_corpus::generate_device;
+use firmres_firmware::content_hash_packed;
 use firmres_service::wire::{read_frame, write_frame, Response};
 use std::time::Duration;
 
@@ -235,4 +240,73 @@ fn event_frames_are_pinned() {
             other => panic!("decoded {other:?}"),
         }
     }
+}
+
+/// A fixed key for the pinned store entry. Its fields are literals, not
+/// the live `PIPELINE_VERSION` or fingerprints, so the pin moves only
+/// with the entry layout.
+const FIXED_KEY: CacheKey = CacheKey {
+    image: 0x0f0e_0d0c_0b0a_0908_0706_0504_0302_0100,
+    pipeline: 0x1312_1110,
+    config: 0x1b1a_1918_1716_1514,
+    classifier: 0x2322_2120_1f1e_1d1c,
+};
+
+/// The `.frac` file the store writes for [`fixed_analysis`] under
+/// [`FIXED_KEY`].
+fn fixed_entry(tag: &str) -> Vec<u8> {
+    let dir = std::env::temp_dir().join(format!("firmres-golden-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cache = AnalysisCache::new(&dir);
+    let written = cache.store(&FIXED_KEY, &fixed_analysis()).expect("stores");
+    let bytes = std::fs::read(cache.entry_path(&FIXED_KEY)).expect("entry file");
+    assert_eq!(written, bytes.len() as u64);
+    let loaded = cache.load(&FIXED_KEY).expect("loads back");
+    assert_eq!(loaded.bytes, written);
+    assert_eq!(loaded.analysis.counters, fixed_analysis().counters);
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// Lines: magic and schema, the key echo, the [`FIXED_ANALYSIS`] bytes,
+/// the checksum.
+const FIXED_ENTRY: &str = "\
+465241430400\
+000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f20212223\
+010f0000002f7573722f62696e2f636c6f75646401000000001000000000000006000000\
+6f6e5f636d64101000000000000040100000000000000200000000000000000000000000\
+e83f01000000000b00000000000000160000000000000021000000000000002c00000000\
+000000370000000000000001070605040302010207060504030201030706050403020104\
+070605040302010507060504030201060706050403020107070605040302010807060504\
+03020109070605040302010a070605040302010b070605040302010c070605040302010d\
+070605040302010e070605040302010f0706050403020110070605040302011107060504\
+03020102000000010101060000002f62696e2f780b0000006c696674206661696c656403\
+00000800000066616c6c6261636b\
+2e890ec972e1e480";
+
+#[test]
+fn fixed_entry_bytes_are_pinned() {
+    assert_eq!(hex(&fixed_entry("pin")), FIXED_ENTRY, ".frac bytes moved");
+}
+
+#[test]
+fn an_entry_is_its_sealed_analysis_bytes() {
+    let entry = fixed_entry("layout");
+    let mut analysis = Vec::new();
+    put_analysis(&mut analysis, &fixed_analysis());
+    let mut echo = Vec::new();
+    echo.extend(FIXED_KEY.image.to_le_bytes());
+    echo.extend(FIXED_KEY.pipeline.to_le_bytes());
+    echo.extend(FIXED_KEY.config.to_le_bytes());
+    echo.extend(FIXED_KEY.classifier.to_le_bytes());
+    assert_eq!(echo.len(), 36);
+
+    // magic ‖ schema ‖ key echo ‖ put_analysis bytes ‖ FNV-64
+    let (body, checksum) = entry.split_at(entry.len() - 8);
+    assert_eq!(&body[..4], b"FRAC");
+    assert_eq!(body[4..6], 4u16.to_le_bytes());
+    assert_eq!(SCHEMA_VERSION, 4);
+    assert_eq!(&body[6..42], echo.as_slice());
+    assert_eq!(&body[42..], analysis.as_slice());
+    assert_eq!(checksum, content_hash_packed(body).to_le_bytes());
 }
